@@ -9,15 +9,17 @@ are worth re-exporting for several inputs.
 import argparse
 import os
 import sys
+from functools import partial
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
 
 from graphdenoise import (FilterKind, FilterSpec, NoiseSpec, WarpParams,
-                          WeightParams, add_gaussian_noise, build_graph,
-                          dense_eig, measure_response, normalize_signal,
-                          normalized_laplacian, synth_scene, warp_guide)
-from graphdenoise.cli import _spectral_filter_closure
-from graphdenoise.pipeline import extract_mask_patch, extract_patch
+                          WeightParams, add_gaussian_noise, dense_eig,
+                          measure_response, normalize_signal, synth_scene,
+                          warp_guide)
+from graphdenoise.filters import FILTERS
+from graphdenoise.pipeline import extract_patch, patch_operator
 
 
 def main() -> int:
@@ -35,16 +37,14 @@ def main() -> int:
     noisy = add_gaussian_noise(scene.right, NoiseSpec(sigma=args.sigma, seed=1234))
 
     patch = (args.x0, args.y0, args.size, args.size)
-    g = build_graph(extract_patch(warp.guide, patch),
-                    extract_mask_patch(warp.mask, patch), WeightParams())
-    L = normalized_laplacian(g)
+    g, L = patch_operator(warp.guide, warp.mask, patch, WeightParams())
     eig = dense_eig(L)
     b = normalize_signal(g, extract_patch(noisy, patch).samples)
 
     os.makedirs(args.out, exist_ok=True)
     for kind in FilterKind:
         spec = FilterSpec(kind=kind, k=args.k)
-        resp = measure_response(_spectral_filter_closure(L, spec), eig, b)
+        resp = measure_response(partial(FILTERS[kind].fast, spec, L), eig, b)
         path = os.path.join(args.out, f"{kind.value}_k{args.k}.csv")
         resp.write_csv(path)
         print(f"wrote {path}")

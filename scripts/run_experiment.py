@@ -6,24 +6,23 @@ view's perspective, degrades the right view with Gaussian noise, runs every
 filter, and prints a PSNR table next to the published reference results.
 """
 import argparse
+import os
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
 
 from graphdenoise import (FilterKind, FilterSpec, NoiseSpec, WarpParams,
                           WeightParams, add_gaussian_noise, denoise, psnr,
                           synth_scene, warp_guide)
 from graphdenoise.pipeline import reference_comparison
 
-LABELS = {
-    FilterKind.JBF: "JBF",
-    FilterKind.GBJBF: "GBJBF",
-    FilterKind.K_POLY: "3-POLY",
-    FilterKind.K_CHEB: "3-CHEB",
-    FilterKind.K_CG: "3-CG",
-    FilterKind.K_CG0: "3-CG0",
-}
+
+def label(kind: FilterKind, k: int) -> str:
+    """Row name in the reference table: the k-step filters carry their k."""
+    name = kind.value.upper()
+    return name if kind in (FilterKind.JBF, FilterKind.GBJBF) else f"{k}-{name}"
 
 
 def main() -> int:
@@ -56,9 +55,9 @@ def main() -> int:
                                patch_size=args.patch, workers=args.threads)
         dt = time.perf_counter() - t0
         val = psnr(out, scene.right)
-        label = LABELS[kind]
-        results[label] = val
-        print(f"{label:<7} PSNR {val:8.2f} dB  (gain {val - base:+7.2f} dB, {dt:5.2f}s)")
+        name = label(kind, args.k)
+        results[name] = val
+        print(f"{name:<7} PSNR {val:8.2f} dB  (gain {val - base:+7.2f} dB, {dt:5.2f}s)")
 
     print()
     print(reference_comparison(results))

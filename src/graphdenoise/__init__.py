@@ -14,9 +14,8 @@ from .errors import (DimensionMismatchError, FileFormatError,
 from .filters import (ChebDesign, FilterKind, FilterSpec, PolyExpansion,
                       apply_filter, cg_filter, cheb_design, cheb_filter, jbf,
                       poly_expand_gbjbf, poly_filter, quadratic_objective)
-from .graph import (NormalizedLaplacian, PixelGraph, WeightParams,
-                    apply_laplacian, build_graph, denormalize_signal,
-                    normalize_signal, normalized_laplacian)
+from .graph import (NormalizedLaplacian, PixelGraph, WeightParams, build_graph,
+                    denormalize_signal, normalize_signal, normalized_laplacian)
 from .image import HoleMask, ImageGray
 from .dibr import (DepthMap, WarpParams, WarpResult, interp_subpel,
                    median_fill, warp_guide)
@@ -37,10 +36,10 @@ __all__ = [
     "NormalizedLaplacian", "NumericError", "PatchGrid", "PixelGraph",
     "PolyExpansion", "SpectralResponse", "StereoScene", "WarpParams",
     "WarpResult", "WeightParams", "add_gaussian_noise", "apply_filter",
-    "apply_laplacian", "build_graph", "cg_filter", "cheb_design",
-    "cheb_filter", "denoise", "denormalize_signal", "dense_eig",
-    "exact_filter", "gbjbf_exact", "interp_subpel", "jbf", "krylov_minimize",
-    "measure_response", "median_fill", "merge_patches", "normalize_signal",
-    "normalized_laplacian", "poly_expand_gbjbf", "poly_filter", "psnr",
-    "quadratic_objective", "split_patches", "synth_scene", "warp_guide",
+    "build_graph", "cg_filter", "cheb_design", "cheb_filter", "denoise",
+    "denormalize_signal", "dense_eig", "exact_filter", "gbjbf_exact",
+    "interp_subpel", "jbf", "krylov_minimize", "measure_response",
+    "median_fill", "merge_patches", "normalize_signal", "normalized_laplacian",
+    "poly_expand_gbjbf", "poly_filter", "psnr", "quadratic_objective",
+    "split_patches", "synth_scene", "warp_guide",
 ]

@@ -10,19 +10,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import dibr, pipeline, scene
 from .errors import DimensionMismatchError, FileFormatError, NumericError
-from .filters import (FilterKind, FilterSpec, apply_filter, cg_filter,
-                      cheb_design, cheb_filter, jbf, poly_expand_gbjbf,
-                      poly_filter)
-from .graph import WeightParams, build_graph, normalize_signal, normalized_laplacian
+from .filters import FILTERS, FilterKind, FilterSpec, apply_filter
+from .graph import WeightParams, normalize_signal
 from .image import (HoleMask, atomic_write_bytes, load_image, load_mask,
                     save_image, save_mask)
-from .oracle import (dense_eig, exact_filter, gbjbf_exact, krylov_minimize,
-                     measure_response)
+from .oracle import dense_eig, measure_response
 
 _FILTER_CHOICES = [k.value for k in FilterKind]
 _SPECTRAL_PATCH_CAP = 32
@@ -171,31 +169,15 @@ def _verify_against_oracle(noisy, guide, mask, spec, weights, patch_size,
     Comparison runs in the normalized domain on non-isolated nodes (the
     dispatcher intentionally passes isolated pixels through unchanged).
     """
-    grid = pipeline.split_patches(noisy, patch_size)
-    for patch in grid.patches:
-        g = build_graph(pipeline.extract_patch(guide, patch),
-                        pipeline.extract_mask_patch(mask, patch), weights)
-        L = normalized_laplacian(g)
-        b_hat = pipeline.extract_patch(noisy, patch).samples
-        fast = apply_filter(spec, L, g, b_hat)
-        x = normalize_signal(g, b_hat)
-        if spec.kind in (FilterKind.K_CG, FilterKind.K_CG0):
-            f = x if spec.kind is FilterKind.K_CG else np.zeros_like(x)
-            ref = krylov_minimize(L, x, f, spec.k)
-        else:
-            eig = dense_eig(L)
-            if spec.kind is FilterKind.JBF:
-                ref = exact_filter(eig, lambda lam: 1.0 - lam, x)
-            elif spec.kind is FilterKind.GBJBF:
-                ref = exact_filter(eig, lambda lam: 1.0 / (1.0 + spec.rho * lam**2), x)
-            elif spec.kind is FilterKind.K_POLY:
-                ref = exact_filter(eig, poly_expand_gbjbf(spec.k, spec.rho).evaluate, x)
-            else:
-                ref = exact_filter(eig, cheb_design(spec.k, spec.l).response, x)
+    reference = FILTERS[spec.kind].reference
+    for patch in pipeline.split_patches(noisy, patch_size).patches:
+        g, L = pipeline.patch_operator(guide, mask, patch, weights)
         live = g.degrees > 0
         if not np.any(live):
             continue
-        fast_norm = normalize_signal(g, fast)
+        b_hat = pipeline.extract_patch(noisy, patch).samples
+        fast_norm = normalize_signal(g, apply_filter(spec, L, g, b_hat))
+        ref = reference(spec, L, normalize_signal(g, b_hat))
         err = (np.max(np.abs(fast_norm[live] - ref[live]))
                / max(1.0, np.max(np.abs(ref[live]))))
         if err > tol:
@@ -208,22 +190,6 @@ def cmd_psnr(args) -> int:
     v = pipeline.psnr(a, b)
     print("inf" if math.isinf(v) else f"{v:.2f}")
     return 0
-
-
-def _spectral_filter_closure(L, spec: FilterSpec):
-    kind = spec.kind
-    if kind is FilterKind.JBF:
-        return lambda b: jbf(L, b)
-    if kind is FilterKind.GBJBF:
-        return lambda b: gbjbf_exact(L, spec.rho, b)
-    if kind is FilterKind.K_POLY:
-        p = poly_expand_gbjbf(spec.k, spec.rho)
-        return lambda b: poly_filter(L, b, p)
-    if kind is FilterKind.K_CHEB:
-        d = cheb_design(spec.k, spec.l)
-        return lambda b: cheb_filter(L, b, d)
-    variant = "cg" if kind is FilterKind.K_CG else "cg0"
-    return lambda b: cg_filter(L, b, spec.k, variant)
 
 
 def cmd_spectral_response(args) -> int:
@@ -240,13 +206,11 @@ def cmd_spectral_response(args) -> int:
     if x0 < 0 or y0 < 0 or x0 + size > guide.width or y0 + size > guide.height:
         raise ValueError("patch window falls outside the guide image")
     patch = (x0, y0, size, size)
-    g = build_graph(pipeline.extract_patch(guide, patch),
-                    pipeline.extract_mask_patch(mask, patch),
-                    WeightParams(sigma_r=args.sigma_r))
-    L = normalized_laplacian(g)
+    g, L = pipeline.patch_operator(guide, mask, patch,
+                                   WeightParams(sigma_r=args.sigma_r))
     spec = _filter_spec(args)
     b = normalize_signal(g, pipeline.extract_patch(signal, patch).samples)
-    response = measure_response(_spectral_filter_closure(L, spec),
+    response = measure_response(partial(FILTERS[spec.kind].fast, spec, L),
                                 dense_eig(L), b)
     response.write_csv(args.out)
     return 0

@@ -1,4 +1,4 @@
-"""Fast vertex-domain graph filters.
+"""Fast vertex-domain graph filters and the ``FILTERS`` registry.
 
 All filters here touch the operator only through Laplacian-vector products,
 so cost is O(k (n + edges)) for a degree/iteration budget k:
@@ -14,13 +14,15 @@ so cost is O(k (n + edges)) for a degree/iteration budget k:
                     x^T L x - 2 x^T f, an input-adaptive Krylov-subspace
                     low-pass.
 
-Filters operate on normalized-domain signals; ``apply_filter`` owns the
-D^{+-1/2} round trip so the individual filters compose freely.
+``FILTERS`` maps each ``FilterKind`` to its normalized-domain fast path and
+its dense oracle reference; ``apply_filter`` dispatches through it and owns
+the D^{+-1/2} round trip, so the individual filters compose freely.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
@@ -29,7 +31,8 @@ from .errors import DimensionMismatchError
 from .graph import (NormalizedLaplacian, PixelGraph, denormalize_signal,
                     normalize_signal)
 from .image import _frozen
-from .oracle import gbjbf_exact
+from .oracle import (dense_eig, exact_filter, gbjbf_exact, gbjbf_response,
+                     krylov_minimize)
 
 # Relative curvature below which a CG search direction is treated as lying
 # in the Laplacian nullspace (breakdown: stop, keep the current iterate).
@@ -254,11 +257,50 @@ def cg_filter(L: NormalizedLaplacian, b: np.ndarray, k: int, variant: str = "cg"
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Registry and dispatch
+
+@dataclass(frozen=True)
+class FilterDef:
+    """One filter kind.  Both functions map (spec, L, x) to the filtered
+    normalized-domain signal: ``fast`` is the vertex-domain path the
+    pipeline runs, ``reference`` the dense oracle it must match."""
+
+    fast: Callable[[FilterSpec, NormalizedLaplacian, np.ndarray], np.ndarray]
+    reference: Callable[[FilterSpec, NormalizedLaplacian, np.ndarray], np.ndarray]
+
+
+def _exact(h):
+    """Reference applying the transfer function h(spec, lambda) exactly
+    through the dense eigendecomposition."""
+    return lambda spec, L, x: exact_filter(dense_eig(L), lambda lam: h(spec, lam), x)
+
+
+FILTERS: dict[FilterKind, FilterDef] = {
+    FilterKind.JBF: FilterDef(
+        fast=lambda spec, L, x: jbf(L, x),
+        reference=_exact(lambda spec, lam: 1.0 - lam)),
+    FilterKind.GBJBF: FilterDef(
+        fast=lambda spec, L, x: gbjbf_exact(L, spec.rho, x),
+        reference=_exact(lambda spec, lam: gbjbf_response(spec.rho)(lam))),
+    FilterKind.K_POLY: FilterDef(
+        fast=lambda spec, L, x: poly_filter(L, x, poly_expand_gbjbf(spec.k, spec.rho)),
+        reference=_exact(
+            lambda spec, lam: poly_expand_gbjbf(spec.k, spec.rho).evaluate(lam))),
+    FilterKind.K_CHEB: FilterDef(
+        fast=lambda spec, L, x: cheb_filter(L, x, cheb_design(spec.k, spec.l)),
+        reference=_exact(lambda spec, lam: cheb_design(spec.k, spec.l).response(lam))),
+    FilterKind.K_CG: FilterDef(
+        fast=lambda spec, L, x: cg_filter(L, x, spec.k, "cg"),
+        reference=lambda spec, L, x: krylov_minimize(L, x, x, spec.k)),
+    FilterKind.K_CG0: FilterDef(
+        fast=lambda spec, L, x: cg_filter(L, x, spec.k, "cg0"),
+        reference=lambda spec, L, x: krylov_minimize(L, x, np.zeros_like(x), spec.k)),
+}
+
 
 def apply_filter(spec: FilterSpec, L: NormalizedLaplacian, graph: PixelGraph,
                  b_hat: np.ndarray) -> np.ndarray:
-    """Normalize, run the selected filter, denormalize.
+    """Normalize, run the selected filter's fast path, denormalize.
 
     Isolated (hole) pixels carry no graph information, so they are passed
     through bit-identical to the input for every filter kind.
@@ -266,22 +308,7 @@ def apply_filter(spec: FilterSpec, L: NormalizedLaplacian, graph: PixelGraph,
     b_hat = np.asarray(b_hat, dtype=np.float64)
     if b_hat.shape != (graph.n_nodes,) or L.n != graph.n_nodes:
         raise DimensionMismatchError("signal/graph/operator size mismatch")
-    x = normalize_signal(graph, b_hat)
-    kind = spec.kind
-    if kind is FilterKind.JBF:
-        y = jbf(L, x)
-    elif kind is FilterKind.GBJBF:
-        y = gbjbf_exact(L, spec.rho, x)
-    elif kind is FilterKind.K_POLY:
-        y = poly_filter(L, x, poly_expand_gbjbf(spec.k, spec.rho))
-    elif kind is FilterKind.K_CHEB:
-        y = cheb_filter(L, x, cheb_design(spec.k, spec.l))
-    elif kind is FilterKind.K_CG:
-        y = cg_filter(L, x, spec.k, "cg")
-    elif kind is FilterKind.K_CG0:
-        y = cg_filter(L, x, spec.k, "cg0")
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled filter kind {kind}")
+    y = FILTERS[spec.kind].fast(spec, L, normalize_signal(graph, b_hat))
     out = denormalize_signal(graph, y)
     iso = graph.degrees == 0
     if np.any(iso):

@@ -31,15 +31,17 @@ DENSE_NODE_CAP = 8192
 
 @dataclass(frozen=True)
 class WeightParams:
-    """Bilateral kernel widths; sigma_s is kept for forward compatibility
-    but unused on the 4-connected grid (the spatial factor is constant)."""
+    """Bilateral intensity kernel width.  The spatial factor is constant on
+    the 4-connected grid, so sigma_r is the only kernel parameter."""
 
     sigma_r: float = 10.0
-    sigma_s: float = 1.0
 
     def __post_init__(self):
-        if not (self.sigma_r > 0 and self.sigma_s > 0):
-            raise ValueError("kernel widths must be strictly positive")
+        # build_graph scales squared guide differences by 1/(2 sigma_r^2)
+        with np.errstate(over="ignore", divide="ignore"):
+            scale = 1.0 / (2.0 * np.float64(self.sigma_r) ** 2)
+        if not (self.sigma_r > 0 and 0.0 < scale < np.inf):  # rejects inf and NaN too
+            raise ValueError("sigma_r must be > 0 with 1/(2 sigma_r^2) finite and nonzero")
 
 
 @dataclass(frozen=True)
@@ -174,11 +176,6 @@ def normalized_laplacian(g: PixelGraph) -> NormalizedLaplacian:
     m = sp.coo_matrix((vals, (rows, cols)), shape=(g.n_nodes, g.n_nodes)).tocsr()
     m.sum_duplicates()
     return NormalizedLaplacian(n=g.n_nodes, matrix=m, nonisolated=_frozen(noniso))
-
-
-def apply_laplacian(L: NormalizedLaplacian, x: np.ndarray) -> np.ndarray:
-    """y = L x in O(n + edges) work."""
-    return L.apply(x)
 
 
 def sqrt_degrees(g: PixelGraph) -> np.ndarray:

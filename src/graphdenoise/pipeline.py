@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dibr import median_fill
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NumericError
 from .filters import FilterSpec, apply_filter
-from .graph import WeightParams, build_graph, normalized_laplacian
+from .graph import (NormalizedLaplacian, PixelGraph, WeightParams, build_graph,
+                    normalized_laplacian)
 from .image import HoleMask, ImageGray, check_same_shape
 
 # Published PSNR (dB) reported for these graph filters on the standard
@@ -92,6 +93,14 @@ def extract_patch(img: ImageGray, patch) -> ImageGray:
 def extract_mask_patch(mask: HoleMask, patch) -> HoleMask:
     x0, y0, w, h = patch
     return HoleMask.from_array(mask.to_array()[y0 : y0 + h, x0 : x0 + w])
+
+
+def patch_operator(guide: ImageGray, mask: HoleMask, patch,
+                   weights: WeightParams) -> tuple[PixelGraph, NormalizedLaplacian]:
+    """The bilateral graph of one patch of the guide and its normalized
+    Laplacian."""
+    g = build_graph(extract_patch(guide, patch), extract_mask_patch(mask, patch), weights)
+    return g, normalized_laplacian(g)
 
 
 def merge_patches(grid: PatchGrid, patch_images) -> ImageGray:
@@ -186,9 +195,7 @@ def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec
 
     def run_patch(patch):
         t0 = time.perf_counter()
-        g = build_graph(extract_patch(guide, patch), extract_mask_patch(mask, patch),
-                        weights)
-        L = normalized_laplacian(g)
+        g, L = patch_operator(guide, mask, patch, weights)
         out = apply_filter(spec, L, g, extract_patch(noisy, patch).samples)
         x0, y0, w, h = patch
         return ImageGray(w, h, out), time.perf_counter() - t0
@@ -220,9 +227,13 @@ def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec
 
 
 def psnr(a: ImageGray, b: ImageGray, peak: float = 255.0) -> float:
-    """10 log10(peak^2 / MSE) over real-valued samples; +inf when MSE = 0."""
+    """10 log10(peak^2 / MSE) over real-valued samples; +inf when MSE = 0.
+    A non-finite MSE (overflowed or NaN samples) raises NumericError."""
     check_same_shape(a, b, "psnr operands")
-    mse = float(np.mean((a.samples - b.samples) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mse = float(np.mean((a.samples - b.samples) ** 2))
+    if not math.isfinite(mse):
+        raise NumericError(f"PSNR undefined: mean squared error is {mse}")
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)

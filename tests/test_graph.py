@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphdenoise import (DimensionMismatchError, HoleMask, ImageGray,
-                          PixelGraph, WeightParams, apply_laplacian,
-                          build_graph, denormalize_signal, normalize_signal,
+                          PixelGraph, WeightParams, build_graph,
+                          denormalize_signal, normalize_signal,
                           normalized_laplacian)
 from graphdenoise.graph import sqrt_degrees
 
@@ -40,6 +40,14 @@ class TestBuildGraph:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             build_graph(img([[1.0, 2.0]]), mask([[0], [0]]), WeightParams())
+
+    @pytest.mark.parametrize("sigma_r", [0.0, -1.0, math.inf, math.nan,
+                                         1e-300, 1e-160, 1e154, 1e200])
+    def test_weight_params_reject_a_broken_kernel(self, sigma_r):
+        # the last four are finite and positive, but 1/(2 sigma_r^2)
+        # overflows to inf or underflows to 0
+        with pytest.raises(ValueError, match="sigma_r"):
+            WeightParams(sigma_r=sigma_r)
 
     def test_only_4_neighbour_edges(self):
         g = build_graph(img([[0, 0, 0], [0, 0, 0], [0, 0, 0]]),
@@ -75,28 +83,28 @@ class TestLaplacian:
 
     def test_apply_basis_vector(self):
         L = normalized_laplacian(two_node_graph())
-        np.testing.assert_allclose(apply_laplacian(L, np.array([1.0, 0.0])),
+        np.testing.assert_allclose(L.apply(np.array([1.0, 0.0])),
                                    [1.0, -1.0], atol=0)
 
     def test_apply_nullvector(self, rng):
         g, L = random_guide_patch(rng, 9, 6)
         v = sqrt_degrees(g)
-        assert np.max(np.abs(apply_laplacian(L, v))) <= 1e-12 * v.max()
+        assert np.max(np.abs(L.apply(v))) <= 1e-12 * v.max()
 
     def test_zero_operator_maps_to_zero(self):
         L = normalized_laplacian(PixelGraph.from_edges(4, []))
         x = np.array([3.0, -1.0, 2.0, 0.5])
-        assert apply_laplacian(L, x).tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert L.apply(x).tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_apply_dimension_mismatch(self):
         L = normalized_laplacian(two_node_graph())
         with pytest.raises(DimensionMismatchError):
-            apply_laplacian(L, np.zeros(3))
+            L.apply(np.zeros(3))
 
     def test_symmetry_through_basis_application(self, rng):
         g, L = random_guide_patch(rng, 6, 5)
         n = g.n_nodes
-        dense = np.column_stack([apply_laplacian(L, e) for e in np.eye(n)])
+        dense = np.column_stack([L.apply(e) for e in np.eye(n)])
         np.testing.assert_allclose(dense, dense.T, atol=1e-15)
         np.testing.assert_allclose(dense, L.dense(), atol=0)
 
@@ -168,8 +176,8 @@ def test_graph_invariants_random(seed, w, h):
     L = normalized_laplacian(g)
     v = sqrt_degrees(g)
     if v.max() > 0:
-        assert np.max(np.abs(apply_laplacian(L, v))) <= 1e-12 * v.max()
+        assert np.max(np.abs(L.apply(v))) <= 1e-12 * v.max()
     x = r.normal(0, 1, g.n_nodes)
-    quad = float(x @ apply_laplacian(L, x))
+    quad = float(x @ L.apply(x))
     assert quad >= -1e-12 * float(x @ x)
     assert quad / float(x @ x) <= 2 + 1e-12

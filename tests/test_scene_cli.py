@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from graphdenoise import WarpParams, synth_scene, warp_guide
+from graphdenoise import FilterKind, WarpParams, synth_scene, warp_guide
 from graphdenoise.cli import main
+from graphdenoise.filters import FILTERS
 from graphdenoise.image import load_image, load_mask, read_pgm, write_pgm
 from graphdenoise.scene import DEPTH_SCALE, foreground_rect
 
@@ -194,6 +195,50 @@ class TestCli:
         assert len(lines) == 1 + 256
         lam, h, valid = lines[1].split(",")
         assert valid in ("true", "false")
+
+    @pytest.mark.parametrize("kind", list(FilterKind))
+    def test_every_filter_kind_through_the_registry(self, tmp_path, kind):
+        assert kind in FILTERS
+        scene_dir = self._synth(tmp_path)
+        warp_dir = self._warp(tmp_path, scene_dir)
+        rc = main(["denoise", "--clean", str(scene_dir / "right.pgm"),
+                   "--guide", str(warp_dir / "guide.pgm"),
+                   "--mask", str(warp_dir / "mask.pbm"),
+                   "--filter", kind.value, "--patch", "16",
+                   "--check-oracle", "--out", str(tmp_path / "run")])
+        assert rc == 0
+        out_csv = tmp_path / "resp.csv"
+        rc = main(["spectral-response", "--guide", str(warp_dir / "guide.pgm"),
+                   "--mask", str(warp_dir / "mask.pbm"),
+                   "--input", str(scene_dir / "right.pgm"),
+                   "--filter", kind.value, "--size", "16", "--x0", "8", "--y0", "8",
+                   "--out", str(out_csv)])
+        assert rc == 0
+        assert len(out_csv.read_text().splitlines()) == 1 + 256
+
+    @pytest.mark.parametrize("sigma_r", ["1e-300", "1e200", "inf"])
+    def test_broken_sigma_r_is_usage_error(self, tmp_path, sigma_r):
+        scene_dir = self._synth(tmp_path, size=64)
+        warp_dir = self._warp(tmp_path, scene_dir)
+        out = tmp_path / "run"
+        rc = main(["denoise", "--clean", str(scene_dir / "right.pgm"),
+                   "--guide", str(warp_dir / "guide.pgm"),
+                   "--mask", str(warp_dir / "mask.pbm"),
+                   "--filter", "cheb", "--sigma-r", sigma_r, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_overflowing_psnr_is_numeric_error(self, tmp_path):
+        scene_dir = self._synth(tmp_path, size=64)
+        warp_dir = self._warp(tmp_path, scene_dir)
+        out = tmp_path / "run"
+        rc = main(["denoise", "--clean", str(scene_dir / "right.pgm"),
+                   "--sigma", "1e300",
+                   "--guide", str(warp_dir / "guide.pgm"),
+                   "--mask", str(warp_dir / "mask.pbm"),
+                   "--filter", "cheb", "--out", str(out)])
+        assert rc == 4
+        assert not out.exists() or not any(out.iterdir())
 
     def test_denoise_precomputed_noisy_input(self, tmp_path):
         scene_dir = self._synth(tmp_path)
