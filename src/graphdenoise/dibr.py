@@ -166,26 +166,23 @@ def median_fill(img: ImageGray, mask: HoleMask) -> ImageGray:
     (center excluded).  Medians are taken from the input image, so the
     pass is order-free and idempotent; even-sized neighbor sets use the
     lower-middle order statistic; a hole with no available neighbor keeps
-    its input value.  Non-hole pixels are untouched.
+    its input value.  Non-hole pixels are untouched.  All holes are done
+    at once: their 8 neighbors are gathered with NaN marking unavailable
+    ones (so NaN samples count as unavailable), and each row is sorted
+    stably, which puts the NaNs last.
     """
     if (img.width, img.height) != (mask.width, mask.height):
         raise DimensionMismatchError("image/mask size mismatch")
-    h, w = img.height, img.width
-    src = img.to_array()
     hole = mask.to_array()
-    out = src.copy()
-    for y, x in zip(*np.nonzero(hole)):
-        vals = []
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dy == 0 and dx == 0:
-                    continue
-                yy, xx = y + dy, x + dx
-                if 0 <= yy < h and 0 <= xx < w and not hole[yy, xx]:
-                    vals.append(src[yy, xx])
-        if vals:
-            vals.sort()
-            out[y, x] = vals[(len(vals) - 1) // 2]
+    out = img.to_array().copy()
+    ys, xs = np.nonzero(hole)
+    padded = np.pad(np.where(hole, np.nan, out), 1, constant_values=np.nan)
+    nbrs = np.stack([padded[ys + 1 + dy, xs + 1 + dx]
+                     for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx], axis=1)
+    nbrs.sort(axis=1, kind="stable")
+    count = np.count_nonzero(~np.isnan(nbrs), axis=1)
+    some = count > 0
+    out[ys[some], xs[some]] = nbrs[some, (count[some] - 1) // 2]
     return ImageGray.from_array(out)
 
 

@@ -204,8 +204,15 @@ def quadratic_objective(L: NormalizedLaplacian, x: np.ndarray, f: np.ndarray) ->
 
 @dataclass(frozen=True)
 class CGInfo:
-    iterations: int
-    breakdown: bool
+    """Per segment of the operator: iterations done and whether the
+    iteration stopped at a breakdown."""
+
+    iterations: np.ndarray
+    breakdown: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "iterations", _frozen(np.asarray(self.iterations, np.int64)))
+        object.__setattr__(self, "breakdown", _frozen(np.asarray(self.breakdown, bool)))
 
 
 def cg_filter(L: NormalizedLaplacian, b: np.ndarray, k: int, variant: str = "cg",
@@ -221,6 +228,10 @@ def cg_filter(L: NormalizedLaplacian, b: np.ndarray, k: int, variant: str = "cg"
     lies numerically in the Laplacian nullspace; iteration stops there and
     the current iterate is returned (the degenerate curvature is never
     divided by).  A vanishing initial residual returns b unchanged.
+
+    Every segment of L runs its own iteration (own step sizes, own stop),
+    and a segment that has stopped is never updated again, so each
+    segment's result is bit-identical to running on its graph alone.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -232,26 +243,26 @@ def cg_filter(L: NormalizedLaplacian, b: np.ndarray, k: int, variant: str = "cg"
     x = b.copy()
     f = b if variant == "cg" else np.zeros_like(b)
     r = f - L.apply(x)
-    info = CGInfo(iterations=0, breakdown=False)
-    if np.linalg.norm(r) <= 1e-14 * np.linalg.norm(b):
-        return (x, info) if return_info else x
+    live = ~(L.norm(r) <= 1e-14 * L.norm(b))
     p = r.copy()
-    rr = float(r @ r)
-    done = 0
-    breakdown = False
+    rr = L.dot(r, r)
+    done = np.zeros(live.shape, np.int64)
+    breakdown = np.zeros(live.shape, bool)
     for _ in range(k):
-        lp = L.apply(p)
-        curv = float(p @ lp)
-        if curv <= CG_BREAKDOWN_RTOL * float(p @ p):
-            breakdown = True
+        if not live.any():
             break
-        alpha = rr / curv
-        x = x + alpha * p
+        lp = L.apply(p)
+        curv = L.dot(p, lp)
+        broke = live & (curv <= CG_BREAKDOWN_RTOL * L.dot(p, p))
+        breakdown |= broke
+        live &= ~broke
+        alpha = L.ratio(rr, curv, live)
+        x = L.where(live, x + alpha * p, x)
         r = r - alpha * lp
-        rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
+        rr_new = L.dot(r, r)
+        p = r + L.ratio(rr_new, rr, live) * p
         rr = rr_new
-        done += 1
+        done += live
     info = CGInfo(iterations=done, breakdown=breakdown)
     return (x, info) if return_info else x
 
@@ -301,6 +312,9 @@ FILTERS: dict[FilterKind, FilterDef] = {
 def apply_filter(spec: FilterSpec, L: NormalizedLaplacian, graph: PixelGraph,
                  b_hat: np.ndarray) -> np.ndarray:
     """Normalize, run the selected filter's fast path, denormalize.
+
+    ``graph`` supplies the node count and degrees: a ``PixelGraph``, or the
+    pipeline's ``BlockGraph`` for a block-diagonal L.
 
     Isolated (hole) pixels carry no graph information, so they are passed
     through bit-identical to the input for every filter kind.

@@ -14,10 +14,17 @@ positive semi-definite operator with spectrum in [0, 2].  Rows and columns
 of isolated (degree-0) nodes are identically zero, and the square-root
 degree scalings D^{+-1/2} act as the identity on those coordinates, so any
 filter with unit response at eigenvalue 0 passes hole pixels through.
+
+An operator may be block diagonal over several disjoint graphs, its
+*segments* (the image pipeline filters every patch at once this way).
+Inner products then come one per segment, so input-adaptive filters keep
+one step size per graph; an operator built from one ``PixelGraph`` has a
+single segment.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -143,11 +150,17 @@ class NormalizedLaplacian:
     Isolated nodes contribute zero rows and columns (their diagonal is 0,
     not 1), which keeps the operator PSD with spectrum in [0, 2] and makes
     sqrt(degrees) a null vector.
+
+    ``segments`` splits the node order into len(segments) equal contiguous
+    slabs with no edges between them; entry i selects, from slab i, the
+    nodes of its graph in that graph's own node order (a slab may also
+    carry padding nodes outside every graph).
     """
 
     n: int
-    matrix: sp.csr_matrix
+    matrix: sp.spmatrix
     nonisolated: np.ndarray
+    segments: tuple = (slice(None),)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -161,6 +174,53 @@ class NormalizedLaplacian:
                 f"dense materialization capped at {DENSE_NODE_CAP} nodes (n={self.n})"
             )
         return self.matrix.toarray()
+
+    def slab(self, i: int) -> slice:
+        """The node range of segment i's slab."""
+        m = self.n // len(self.segments)
+        return slice(i * m, (i + 1) * m)
+
+    def parts(self, x: np.ndarray) -> list[np.ndarray]:
+        """Per segment, x on its graph's nodes in that graph's order."""
+        return [x[self.slab(i)][s] for i, s in enumerate(self.segments)]
+
+    def dot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Inner product per segment.  Each is one dot over the segment's
+        nodes in its graph's order, so it equals, bit for bit, the inner
+        product on that graph's own operator."""
+        return np.array([a @ b for a, b in zip(self.parts(x), self.parts(y))])
+
+    def norm(self, x: np.ndarray) -> np.ndarray:
+        """Euclidean norm per segment (as ``np.linalg.norm`` computes it)."""
+        return np.sqrt(self.dot(x, x))
+
+    def expand(self, v: np.ndarray) -> np.ndarray:
+        """One value per segment -> one value per node."""
+        return np.repeat(v, self.n // len(self.segments))
+
+    def ratio(self, num: np.ndarray, den: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Per node, num / den of its segment if that segment is live, else
+        0 (a dead segment's den is never divided by)."""
+        return self.expand(np.divide(num, den, out=np.zeros_like(num), where=live))
+
+    def where(self, live: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+        """``new`` on the segments flagged live, ``old`` (untouched) elsewhere."""
+        return new if live.all() else np.where(self.expand(live), new, old)
+
+    def segment(self, i: int) -> "NormalizedLaplacian":
+        """The single-segment operator of segment i's graph."""
+        slab, s = self.slab(i), self.segments[i]
+        idx = np.arange(slab.stop - slab.start)[s]
+        if idx.size == self.n:
+            return self
+        block = self._csr[slab, slab]
+        return NormalizedLaplacian(n=idx.size, matrix=block[idx][:, idx],
+                                   nonisolated=_frozen(self.nonisolated[slab][s]))
+
+    @cached_property
+    def _csr(self) -> sp.csr_matrix:
+        """The matrix in CSR form, converted once for all segment blocks."""
+        return self.matrix.tocsr()
 
 
 def normalized_laplacian(g: PixelGraph) -> NormalizedLaplacian:

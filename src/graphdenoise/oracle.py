@@ -84,7 +84,12 @@ def gbjbf_exact(L: NormalizedLaplacian, rho: float, b: np.ndarray) -> np.ndarray
 
     Small systems go through the dense eigendecomposition; larger ones use
     conjugate gradients on the SPD operator, whose spectrum lies in
-    [1, 1 + rho * 4].  The residual contract is verified either way.
+    [1, 1 + rho * 4].  The residual contract is verified either way, and a
+    norm that is not finite (an overflowing or non-finite b) fails it.
+
+    A block-diagonal L is solved segment by segment: each segment takes the
+    dense or the CG path by its own size and is held to its own residual
+    contract, so its result is bit-identical to solving on its graph alone.
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
@@ -97,35 +102,60 @@ def gbjbf_exact(L: NormalizedLaplacian, rho: float, b: np.ndarray) -> np.ndarray
     def op(v):
         return v + rho * L.apply(L.apply(v))
 
-    if L.n <= min(_GBJBF_DENSE_CUTOFF, DENSE_NODE_CAP):
-        x = exact_filter(dense_eig(L), gbjbf_response(rho), b)
-    else:
-        x = _cg_spd_solve(op, b, rtol=1e-12)
-    bnorm = np.linalg.norm(b)
-    if np.linalg.norm(b - op(x)) > 1e-12 * bnorm:
-        x = _cg_spd_solve(op, b, rtol=1e-12, x0=x)
-        if np.linalg.norm(b - op(x)) > 1e-12 * bnorm:
+    with np.errstate(over="ignore", invalid="ignore"):
+        bnorm = L.norm(b)
+    if not np.all(np.isfinite(bnorm)):
+        raise NumericError("regularized solve: the right-hand side norm is not finite")
+    # an all-zero segment is its own solution
+    parts = L.parts(b)
+    nonzero = np.array([np.any(bi) for bi in parts])
+    sizes = np.array([bi.size for bi in parts])
+    dense = nonzero & (sizes <= min(_GBJBF_DENSE_CUTOFF, DENSE_NODE_CAP))
+    iterative = nonzero & ~dense
+    x = np.where(L.expand(iterative), 0.0, b)
+    for i in np.flatnonzero(dense):
+        x[L.slab(i)][L.segments[i]] = exact_filter(dense_eig(L.segment(i)),
+                                                   gbjbf_response(rho), parts[i])
+    x = _cg_spd_solve(L, op, b, 1e-12, x, iterative)
+
+    def missed():
+        # fails closed: a NaN residual is a miss
+        return nonzero & ~(L.norm(b - op(x)) <= 1e-12 * bnorm)
+
+    miss = missed()
+    if miss.any():
+        x = _cg_spd_solve(L, op, b, 1e-12, x, miss)
+        if missed().any():
             raise NumericError("regularized solve missed the 1e-12 residual contract")
     return x
 
 
-def _cg_spd_solve(op, b, rtol, x0=None, maxiter=1000):
-    x = np.zeros_like(b) if x0 is None else x0.astype(np.float64).copy()
+def _cg_spd_solve(L: NormalizedLaplacian, op, b, rtol, x0, live, maxiter=1000):
+    """Conjugate gradients on op(x) = b from x0, on the segments flagged
+    live; the others keep x0.  Each segment has its own step sizes and
+    stops at relative residual rtol."""
+    x = x0.astype(np.float64).copy()
+    live = live.copy()
+    if not live.any():
+        return x
     r = b - op(x)
-    tol = rtol * np.linalg.norm(b)
+    tol = rtol * L.norm(b)
     p = r.copy()
-    rr = float(r @ r)
+    rr = L.dot(r, r)
     for _ in range(maxiter):
-        if np.sqrt(rr) <= tol:
+        if not np.all(np.isfinite(rr[live])):
+            raise NumericError("SPD solve: the residual norm is not finite")
+        live &= ~(np.sqrt(rr) <= tol)
+        if not live.any():
             return x
         ap = op(p)
-        alpha = rr / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
+        alpha = L.ratio(rr, L.dot(p, ap), live)
+        x = L.where(live, x + alpha * p, x)
+        r = r - alpha * ap
+        rr_new = L.dot(r, r)
+        p = r + L.ratio(rr_new, rr, live) * p
         rr = rr_new
-    if np.sqrt(rr) <= tol:
+    if np.all(np.sqrt(rr[live]) <= tol[live]):
         return x
     raise NumericError(f"SPD solve stalled above relative residual {rtol:g}")
 

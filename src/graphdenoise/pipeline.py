@@ -1,26 +1,32 @@
 """End-to-end denoising: noise injection, disjoint patch processing,
 per-patch graph filtering, hole median pass, and PSNR evaluation.
 
-Patches are filtered on independent per-patch graphs with no cross-patch
-edges and no overlap blending, so the whole-image result equals the
-concatenation of independently filtered patches by construction; patch
-order and worker count never change the output.
+Every patch is filtered on its own guide-derived graph, with no cross-patch
+edges and no overlap blending.  ``denoise`` runs all patches in one pass:
+``block_operator`` lays the image out tile by tile (``PatchGrid.to_nodes``)
+and builds one block-diagonal Laplacian whose segments are the patch
+graphs, straight from the 4-neighbour weights, so a single
+``apply_filter`` call filters the whole image.  Degrees, edge scalings,
+Laplacian applies and per-segment inner products are evaluated in the same
+floating-point order as on each patch's own ``patch_operator`` graph, so
+the result is bit-identical to filtering the patches one by one, in any
+order.
 """
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .dibr import median_fill
 from .errors import DimensionMismatchError, NumericError
 from .filters import FilterSpec, apply_filter
 from .graph import (NormalizedLaplacian, PixelGraph, WeightParams, build_graph,
                     normalized_laplacian)
-from .image import HoleMask, ImageGray, check_same_shape
+from .image import HoleMask, ImageGray, _frozen, check_same_shape
 
 # Published PSNR (dB) reported for these graph filters on the standard
 # multiview test sequences (not redistributable, so not reproducible here;
@@ -62,7 +68,11 @@ def add_gaussian_noise(img: ImageGray, spec: NoiseSpec) -> ImageGray:
 @dataclass(frozen=True)
 class PatchGrid:
     """Disjoint tiling into patch_size x patch_size tiles, row-major;
-    edge tiles may be smaller."""
+    edge tiles may be smaller.
+
+    Tile-major node order: the image is padded on the right and bottom to
+    whole tiles, and tile t occupies nodes t*p^2 .. (t+1)*p^2 - 1,
+    row-major within the tile (p = patch_size)."""
 
     width: int
     height: int
@@ -79,6 +89,36 @@ class PatchGrid:
                               min(self.patch_size, self.width - x0),
                               min(self.patch_size, self.height - y0)))
         object.__setattr__(self, "patches", tuple(tiles))
+
+    def _tiles(self) -> tuple[int, int]:
+        p = self.patch_size
+        return -(-self.height // p), -(-self.width // p)
+
+    def to_nodes(self, a: np.ndarray, fill) -> np.ndarray:
+        """A (height, width) array in tile-major node order, padded with
+        fill."""
+        p = self.patch_size
+        ty, tx = self._tiles()
+        pad = np.full((ty * p, tx * p), fill, dtype=np.asarray(a).dtype)
+        pad[: self.height, : self.width] = a
+        return pad.reshape(ty, p, tx, p).swapaxes(1, 2).reshape(-1)
+
+    def from_nodes(self, x: np.ndarray) -> np.ndarray:
+        """Inverse of ``to_nodes``: the (height, width) image, padding
+        dropped."""
+        p = self.patch_size
+        ty, tx = self._tiles()
+        a = x.reshape(ty, tx, p, p).swapaxes(1, 2).reshape(ty * p, tx * p)
+        return a[: self.height, : self.width]
+
+    def segments(self) -> tuple:
+        """Per tile, its pixels' nodes within the tile's p^2 nodes, in the
+        tile's own row-major order: all of them for a whole tile, an index
+        array for an edge tile."""
+        p = self.patch_size
+        return tuple(slice(None) if (w, h) == (p, p)
+                     else _frozen((p * np.arange(h)[:, None] + np.arange(w)).ravel())
+                     for _, _, w, h in self.patches)
 
 
 def split_patches(img: ImageGray, patch_size: int) -> PatchGrid:
@@ -116,15 +156,77 @@ def merge_patches(grid: PatchGrid, patch_images) -> ImageGray:
     return ImageGray.from_array(out)
 
 
+@dataclass(frozen=True)
+class BlockGraph:
+    """What signal normalization reads of the block-diagonal patch graph:
+    its node count and degrees, in tile-major node order."""
+
+    n_nodes: int
+    degrees: np.ndarray
+
+
+def block_operator(guide: ImageGray, mask: HoleMask, grid: PatchGrid,
+                   weights: WeightParams) -> tuple[BlockGraph, NormalizedLaplacian]:
+    """The bilateral graphs of all patches as one block-diagonal graph in
+    the grid's tile-major node order, and its normalized Laplacian with one
+    segment per patch.
+
+    Padding nodes are isolated like holes.  Each patch's degrees, edge
+    scalings and Laplacian rows are computed in the order ``build_graph``
+    and ``normalized_laplacian`` use on that patch alone: degrees sum the
+    right, down, up and left weights in turn, an edge scales as
+    (w s_i) s_j with i < j, and the operator is a DIA matrix with offsets
+    (-p, -1, 0, 1, p), which sums each row in CSR column order.
+    """
+    check_same_shape(guide, mask, "guide/mask")
+    p = grid.patch_size
+    g = grid.to_nodes(guide.to_array(), 0.0).reshape(-1, p, p)
+    ok = ~grid.to_nodes(mask.to_array(), True).reshape(-1, p, p)
+    inv_two_sigma2 = 1.0 / (2.0 * weights.sigma_r**2)
+
+    right = np.zeros_like(g)   # weight of the edge to the next column
+    down = np.zeros_like(g)    # weight of the edge to the next row
+    d = g[:, :, :-1] - g[:, :, 1:]
+    right[:, :, :-1] = np.where(ok[:, :, :-1] & ok[:, :, 1:],
+                                np.exp(-(d**2) * inv_two_sigma2), 0.0)
+    d = g[:, :-1, :] - g[:, 1:, :]
+    down[:, :-1, :] = np.where(ok[:, :-1, :] & ok[:, 1:, :],
+                               np.exp(-(d**2) * inv_two_sigma2), 0.0)
+    deg = right + down
+    deg[:, 1:, :] += down[:, :-1, :]
+    deg[:, :, 1:] += right[:, :, :-1]
+
+    noniso = deg > 0
+    inv_sqrt = np.zeros_like(deg)
+    inv_sqrt[noniso] = 1.0 / np.sqrt(deg[noniso])
+    right[:, :, :-1] *= inv_sqrt[:, :, :-1]
+    right[:, :, :-1] *= inv_sqrt[:, :, 1:]
+    down[:, :-1, :] *= inv_sqrt[:, :-1, :]
+    down[:, :-1, :] *= inv_sqrt[:, 1:, :]
+
+    n = deg.size
+    s_right, s_down = right.ravel(), down.ravel()
+    data = np.zeros((5, n))
+    data[0] = -s_down             # A[v + p, v]
+    data[1] = -s_right            # A[v + 1, v]
+    data[2] = noniso.ravel()      # A[v, v]
+    data[3, 1:] = -s_right[:-1]   # A[v - 1, v]
+    data[4, p:] = -s_down[:-p]    # A[v - p, v]
+    m = sp.dia_matrix((data, np.array([-p, -1, 0, 1, p])), shape=(n, n))
+    L = NormalizedLaplacian(n=n, matrix=m, nonisolated=_frozen(noniso.ravel()),
+                            segments=grid.segments())
+    return BlockGraph(n_nodes=n, degrees=_frozen(deg.ravel())), L
+
+
 @dataclass
 class DenoiseReport:
     """Run metrics.  PSNR fields are filled by callers that hold the clean
-    reference; patch_seconds is wall-clock and deliberately excluded from
-    the deterministic CSV serialization."""
+    reference; filter_seconds (graph assembly plus filtering, wall clock)
+    is deliberately excluded from the deterministic CSV serialization."""
 
     hole_pixels: int
     n_patches: int
-    patch_seconds: list
+    filter_seconds: float
     params: dict
     psnr_noisy_db: float | None = None
     psnr_denoised_db: float | None = None
@@ -187,31 +289,23 @@ def reference_comparison(results_db: dict) -> str:
 def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec,
             weights: WeightParams, patch_size: int = 64,
             workers: int = 1) -> tuple[ImageGray, DenoiseReport]:
-    """Filter each patch on its own guide-derived graph, reassemble, then
-    median-fill the hole pixels of the filtered image."""
+    """Filter each patch on its own guide-derived graph, all patches in one
+    pass through the block-diagonal operator, then median-fill the hole
+    pixels of the filtered image.  ``workers`` is accepted for
+    compatibility and has no effect."""
     check_same_shape(noisy, guide, "noisy/guide")
     check_same_shape(noisy, mask, "noisy/mask")
     grid = split_patches(noisy, patch_size)
-
-    def run_patch(patch):
-        t0 = time.perf_counter()
-        g, L = patch_operator(guide, mask, patch, weights)
-        out = apply_filter(spec, L, g, extract_patch(noisy, patch).samples)
-        x0, y0, w, h = patch
-        return ImageGray(w, h, out), time.perf_counter() - t0
-
-    if workers <= 1:
-        results = [run_patch(p) for p in grid.patches]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_patch, grid.patches))
-
-    merged = merge_patches(grid, (img for img, _ in results))
-    filled = median_fill(merged, mask)
+    t0 = time.perf_counter()
+    graph, L = block_operator(guide, mask, grid, weights)
+    y = apply_filter(spec, L, graph, grid.to_nodes(noisy.to_array(), 0.0))
+    filtered = ImageGray.from_array(grid.from_nodes(y))
+    filter_seconds = time.perf_counter() - t0
+    filled = median_fill(filtered, mask)
     report = DenoiseReport(
         hole_pixels=int(mask.flags.sum()),
         n_patches=len(grid.patches),
-        patch_seconds=[dt for _, dt in results],
+        filter_seconds=filter_seconds,
         params={
             "filter": spec.kind.value,
             "k": spec.k,

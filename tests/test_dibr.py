@@ -172,6 +172,37 @@ class TestMedianFill:
         assert np.array_equal(once.samples, twice.samples)
 
 
+    @given(st.integers(1, 20), st.integers(1, 20), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_matches_per_hole_loop(self, h, w, density, seed):
+        r = np.random.default_rng(seed)
+        # few distinct values (signed zeros among them) make ties common
+        a = r.choice([-0.0, 0.0, 1.5, 7.0, 255.0], (h, w)) + (r.random((h, w)) < 0.5) * \
+            r.uniform(0, 255, (h, w))
+        m = r.random((h, w)) < density
+        out = median_fill(ImageGray.from_array(a), HoleMask.from_array(m))
+        assert out.to_array().tobytes() == _median_fill_loop(a, m).tobytes()
+
+
+def _median_fill_loop(src, hole):
+    """Reference median fill: one hole at a time, Python list median."""
+    h, w = src.shape
+    out = src.copy()
+    for y, x in zip(*np.nonzero(hole)):
+        vals = []
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                if dy == 0 and dx == 0:
+                    continue
+                yy, xx = y + dy, x + dx
+                if 0 <= yy < h and 0 <= xx < w and not hole[yy, xx]:
+                    vals.append(src[yy, xx])
+        if vals:
+            vals.sort()
+            out[y, x] = vals[(len(vals) - 1) // 2]
+    return out
+
+
 class TestDepthIo:
     def test_16bit_round_trip(self, tmp_path, rng):
         # quarter-disparity steps of 1/64 px are exactly representable

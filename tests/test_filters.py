@@ -13,6 +13,7 @@ from graphdenoise import (FilterKind, FilterSpec, HoleMask, ImageGray,
                           poly_expand_gbjbf, poly_filter, quadratic_objective)
 from graphdenoise.filters import ChebDesign, PolyExpansion
 from graphdenoise.graph import sqrt_degrees
+from graphdenoise.pipeline import block_operator, patch_operator, split_patches
 
 from conftest import random_connected_graph, random_guide_patch, two_node_graph
 
@@ -284,6 +285,36 @@ class TestCgFilter:
         lhs = cg_filter(L, b1 + b2, 3, "cg0")
         rhs = cg_filter(L, b1, 3, "cg0") + cg_filter(L, b2, 3, "cg0")
         assert np.max(np.abs(lhs - rhs)) > 1e-6
+
+
+    @pytest.mark.parametrize("variant", ["cg", "cg0"])
+    def test_each_segment_runs_its_own_iteration(self, rng, variant):
+        # four 16x16 patches: a zero signal (vanishing residual), a null
+        # vector and an all-hole patch (vanishing residual for cg0, breakdown
+        # at once for cg), and a random one.  The null vector is -0.0 on its
+        # holes, where a stopped segment would turn into +0.0 if it were
+        # still stepped with a zero step size.
+        guide = ImageGray.from_array(rng.uniform(100, 140, (16, 64)))
+        holes = np.zeros((16, 64), bool)
+        holes[:, 16:32] = rng.random((16, 16)) < 0.2
+        holes[:, 32:48] = True
+        mask = HoleMask.from_array(holes)
+        grid = split_patches(guide, 16)
+        graph, L = block_operator(guide, mask, grid, WeightParams())
+        b = rng.normal(0, 1, L.n)
+        b[L.slab(0)] = 0.0
+        d = graph.degrees[L.slab(1)]
+        b[L.slab(1)] = np.where(d > 0, np.sqrt(d), -0.0)
+        x, info = cg_filter(L, b, 3, variant, return_info=True)
+        for i, p in enumerate(grid.patches):
+            g, Lp = patch_operator(guide, mask, p, WeightParams())
+            xp, ip = cg_filter(Lp, L.parts(b)[i], 3, variant, return_info=True)
+            assert L.parts(x)[i].tobytes() == xp.tobytes()
+            assert (info.iterations[i], info.breakdown[i]) == (ip.iterations[0],
+                                                               ip.breakdown[0])
+        cg = variant == "cg"
+        assert info.breakdown.tolist() == [False, cg, cg, False]
+        assert info.iterations.tolist() == [0, 0, 0, 3]
 
 
 class TestLinearity:

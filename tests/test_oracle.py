@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from graphdenoise import (NumericError, PixelGraph, dense_eig, exact_filter,
-                          gbjbf_exact, jbf, measure_response,
-                          normalized_laplacian)
+from graphdenoise import (HoleMask, ImageGray, NumericError, PixelGraph,
+                          WeightParams, dense_eig, exact_filter, gbjbf_exact,
+                          jbf, measure_response, normalized_laplacian)
 from graphdenoise.graph import sqrt_degrees
-from graphdenoise.oracle import gbjbf_response
+from graphdenoise.oracle import _cg_spd_solve, gbjbf_response
+from graphdenoise.pipeline import block_operator, split_patches
 
 from conftest import path_graph, random_guide_patch, two_node_graph
 
@@ -114,6 +115,45 @@ class TestGbjbfExact:
         x = gbjbf_exact(L, 2.0, b)
         resid = b - (x + 2.0 * L.apply(L.apply(x)))
         assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(b)
+
+
+    @pytest.mark.parametrize("bad", ["overflow", "nan", "inf"])
+    @pytest.mark.parametrize("size", [10, 60])   # dense and iterative paths
+    def test_nonfinite_norm_fails_closed(self, rng, size, bad):
+        g, L = random_guide_patch(rng, size, size)
+        b = rng.normal(0, 1, g.n_nodes)
+        if bad == "overflow":
+            b *= 1e160       # finite samples, but |b|^2 overflows
+        else:
+            b[3] = float(bad)
+        with pytest.raises(NumericError):
+            gbjbf_exact(L, 2.0, b)
+
+    @pytest.mark.parametrize("segment", [0, 1])
+    def test_nonfinite_norm_in_one_segment_fails_closed(self, rng, segment):
+        # a 48x48 patch (iterative path) and a 16x48 one (dense path)
+        guide = ImageGray.from_array(rng.uniform(0, 255, (48, 64)))
+        grid = split_patches(guide, 48)
+        graph, L = block_operator(guide, HoleMask.all_false(64, 48), grid,
+                                  WeightParams())
+        b = rng.normal(0, 1, L.n)
+        assert np.all(np.isfinite(gbjbf_exact(L, 2.0, b)))
+        b[L.slab(segment)] *= 1e160
+        with pytest.raises(NumericError):
+            gbjbf_exact(L, 2.0, b)
+
+    def test_nan_residual_raises_at_once(self, rng):
+        g, L = random_guide_patch(rng, 6, 6)
+        calls = []
+
+        def op(v):
+            calls.append(1)
+            return np.full_like(v, np.nan)
+
+        b = rng.normal(0, 1, g.n_nodes)
+        with pytest.raises(NumericError):
+            _cg_spd_solve(L, op, b, 1e-12, np.zeros_like(b), np.array([True]))
+        assert len(calls) == 1
 
 
 class TestMeasureResponse:

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from graphdenoise import FilterKind, WarpParams, synth_scene, warp_guide
+from graphdenoise import (FilterKind, WarpParams, pipeline, synth_scene,
+                          warp_guide)
 from graphdenoise.cli import main
-from graphdenoise.filters import FILTERS
+from graphdenoise.filters import FILTERS, FilterDef
 from graphdenoise.image import load_image, load_mask, read_pgm, write_pgm
 from graphdenoise.scene import DEPTH_SCALE, foreground_rect
 
@@ -215,6 +216,47 @@ class TestCli:
                    "--out", str(out_csv)])
         assert rc == 0
         assert len(out_csv.read_text().splitlines()) == 1 + 256
+
+    @pytest.mark.parametrize("kind", [FilterKind.K_CHEB, FilterKind.GBJBF])
+    def test_check_oracle_catches_a_broken_fast_path(self, tmp_path, monkeypatch, kind):
+        scene_dir = self._synth(tmp_path, size=64)
+        warp_dir = self._warp(tmp_path, scene_dir)
+        real = FILTERS[kind]
+        monkeypatch.setitem(FILTERS, kind, FilterDef(
+            fast=lambda spec, L, x: real.fast(spec, L, x) * (1.0 + 1e-4),
+            reference=real.reference))
+        out = tmp_path / "run"
+        rc = main(["denoise", "--clean", str(scene_dir / "right.pgm"),
+                   "--guide", str(warp_dir / "guide.pgm"),
+                   "--mask", str(warp_dir / "mask.pbm"),
+                   "--filter", kind.value, "--patch", "32",
+                   "--check-oracle", "--out", str(out)])
+        assert rc == 4
+        assert not out.exists()
+
+    def test_check_oracle_filters_once(self, tmp_path, monkeypatch):
+        scene_dir = self._synth(tmp_path)
+        warp_dir = self._warp(tmp_path, scene_dir)
+        calls = {"apply_filter": 0, "build_graph": 0}
+
+        def counted(name):
+            real = getattr(pipeline, name)
+
+            def wrapper(*a, **k):
+                calls[name] += 1
+                return real(*a, **k)
+            monkeypatch.setattr(pipeline, name, wrapper)
+
+        counted("apply_filter")
+        counted("build_graph")
+        rc = main(["denoise", "--clean", str(scene_dir / "right.pgm"),
+                   "--guide", str(warp_dir / "guide.pgm"),
+                   "--mask", str(warp_dir / "mask.pbm"),
+                   "--filter", "cg0", "--patch", "32",
+                   "--check-oracle", "--out", str(tmp_path / "run")])
+        assert rc == 0
+        # one filter pass for the image; one reference graph per 32x32 patch
+        assert calls == {"apply_filter": 1, "build_graph": 9}
 
     @pytest.mark.parametrize("sigma_r", ["1e-300", "1e200", "inf"])
     def test_broken_sigma_r_is_usage_error(self, tmp_path, sigma_r):
