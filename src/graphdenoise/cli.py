@@ -95,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_synth(args) -> int:
     import os
 
-    os.makedirs(args.out, exist_ok=True)
     sc = scene.synth_scene(size=args.size, seed=args.seed)
+    os.makedirs(args.out, exist_ok=True)
     save_image(os.path.join(args.out, "left.pgm"), sc.left)
     save_image(os.path.join(args.out, "right.pgm"), sc.right)
     dibr.save_depth(os.path.join(args.out, "depth.pgm"), sc.depth, scene.DEPTH_SCALE)
@@ -241,8 +241,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (NumericError, ArithmeticError, MemoryError) as e:
+        # a bare MemoryError has an empty message
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 4
 
 

@@ -24,7 +24,6 @@ single segment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -159,7 +158,6 @@ class NormalizedLaplacian:
 
     n: int
     matrix: sp.spmatrix
-    nonisolated: np.ndarray
     segments: tuple = (slice(None),)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -207,21 +205,6 @@ class NormalizedLaplacian:
         """``new`` on the segments flagged live, ``old`` (untouched) elsewhere."""
         return new if live.all() else np.where(self.expand(live), new, old)
 
-    def segment(self, i: int) -> "NormalizedLaplacian":
-        """The single-segment operator of segment i's graph."""
-        slab, s = self.slab(i), self.segments[i]
-        idx = np.arange(slab.stop - slab.start)[s]
-        if idx.size == self.n:
-            return self
-        block = self._csr[slab, slab]
-        return NormalizedLaplacian(n=idx.size, matrix=block[idx][:, idx],
-                                   nonisolated=_frozen(self.nonisolated[slab][s]))
-
-    @cached_property
-    def _csr(self) -> sp.csr_matrix:
-        """The matrix in CSR form, converted once for all segment blocks."""
-        return self.matrix.tocsr()
-
 
 def normalized_laplacian(g: PixelGraph) -> NormalizedLaplacian:
     deg = g.degrees
@@ -235,7 +218,7 @@ def normalized_laplacian(g: PixelGraph) -> NormalizedLaplacian:
     vals = np.concatenate([-s, -s, np.ones(diag_idx.size)])
     m = sp.coo_matrix((vals, (rows, cols)), shape=(g.n_nodes, g.n_nodes)).tocsr()
     m.sum_duplicates()
-    return NormalizedLaplacian(n=g.n_nodes, matrix=m, nonisolated=_frozen(noniso))
+    return NormalizedLaplacian(n=g.n_nodes, matrix=m)
 
 
 def sqrt_degrees(g: PixelGraph) -> np.ndarray:

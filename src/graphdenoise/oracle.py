@@ -2,10 +2,14 @@
 
 Everything here trades speed for trust: a full symmetric eigendecomposition
 (capped at 8192 nodes), exact application of arbitrary spectral transfer
-functions, the closed-form regularized least-squares filter, a brute-force
+functions, the closed-form regularized least-squares response, a brute-force
 Krylov-subspace minimizer, and empirical transfer-function measurement.
 These are the references every fast vertex-domain filter is validated
 against.
+
+One fast path lives here too: ``gbjbf_exact``, the conjugate-gradient solve
+of the regularized system, which never eigendecomposes.  It stays in this
+module because the benchmark's tracer wraps it here by name.
 """
 from __future__ import annotations
 
@@ -16,13 +20,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatchError, NumericError
-from .graph import DENSE_NODE_CAP, NormalizedLaplacian
+from .graph import NormalizedLaplacian
 from .image import _frozen, atomic_write_bytes
-
-# Above this size gbjbf_exact switches from the dense eigensolver to a
-# conjugate-gradient solve of the SPD system; both are held to the same
-# residual contract.
-_GBJBF_DENSE_CUTOFF = 2048
 
 
 @dataclass(frozen=True)
@@ -45,10 +44,9 @@ def dense_eig(L: NormalizedLaplacian) -> EigenDecomposition:
     """Full eigendecomposition via LAPACK's symmetric solver.
 
     Eigenvector signs are fixed so the first component exceeding 1e-12 of
-    the column max is positive, keeping golden files stable.
+    the column max is positive, keeping golden files stable.  ``L.dense()``
+    enforces the node cap.
     """
-    if L.n > DENSE_NODE_CAP:
-        raise NumericError(f"dense_eig capped at {DENSE_NODE_CAP} nodes (n={L.n})")
     try:
         lam, u = scipy.linalg.eigh(L.dense())
     except scipy.linalg.LinAlgError as e:
@@ -82,14 +80,15 @@ def gbjbf_response(rho: float):
 def gbjbf_exact(L: NormalizedLaplacian, rho: float, b: np.ndarray) -> np.ndarray:
     """Solve (I + rho L^2) x = b to relative residual <= 1e-12.
 
-    Small systems go through the dense eigendecomposition; larger ones use
-    conjugate gradients on the SPD operator, whose spectrum lies in
-    [1, 1 + rho * 4].  The residual contract is verified either way, and a
-    norm that is not finite (an overflowing or non-finite b) fails it.
+    Conjugate gradients on the SPD operator, whose spectrum lies in
+    [1, 1 + rho * 4], so no eigendecomposition is needed; the dense
+    reference is ``gbjbf_response`` through ``dense_eig``.  The residual
+    contract is verified after the solve, and a norm that is not finite (an
+    overflowing or non-finite b) fails it.
 
-    A block-diagonal L is solved segment by segment: each segment takes the
-    dense or the CG path by its own size and is held to its own residual
-    contract, so its result is bit-identical to solving on its graph alone.
+    A block-diagonal L is solved segment by segment: each segment has its
+    own step sizes and is held to its own residual contract, so its result
+    is bit-identical to solving on its graph alone.
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
@@ -107,16 +106,8 @@ def gbjbf_exact(L: NormalizedLaplacian, rho: float, b: np.ndarray) -> np.ndarray
     if not np.all(np.isfinite(bnorm)):
         raise NumericError("regularized solve: the right-hand side norm is not finite")
     # an all-zero segment is its own solution
-    parts = L.parts(b)
-    nonzero = np.array([np.any(bi) for bi in parts])
-    sizes = np.array([bi.size for bi in parts])
-    dense = nonzero & (sizes <= min(_GBJBF_DENSE_CUTOFF, DENSE_NODE_CAP))
-    iterative = nonzero & ~dense
-    x = np.where(L.expand(iterative), 0.0, b)
-    for i in np.flatnonzero(dense):
-        x[L.slab(i)][L.segments[i]] = exact_filter(dense_eig(L.segment(i)),
-                                                   gbjbf_response(rho), parts[i])
-    x = _cg_spd_solve(L, op, b, 1e-12, x, iterative)
+    nonzero = np.array([np.any(bi) for bi in L.parts(b)])
+    x = _cg_spd_solve(L, op, b, 1e-12, np.where(L.expand(nonzero), 0.0, b), nonzero)
 
     def missed():
         # fails closed: a NaN residual is a miss

@@ -213,8 +213,7 @@ def block_operator(guide: ImageGray, mask: HoleMask, grid: PatchGrid,
     data[3, 1:] = -s_right[:-1]   # A[v - 1, v]
     data[4, p:] = -s_down[:-p]    # A[v - p, v]
     m = sp.dia_matrix((data, np.array([-p, -1, 0, 1, p])), shape=(n, n))
-    L = NormalizedLaplacian(n=n, matrix=m, nonisolated=_frozen(noniso.ravel()),
-                            segments=grid.segments())
+    L = NormalizedLaplacian(n=n, matrix=m, segments=grid.segments())
     return BlockGraph(n_nodes=n, degrees=_frozen(deg.ravel())), L
 
 

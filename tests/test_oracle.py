@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from graphdenoise import (HoleMask, ImageGray, NumericError, PixelGraph,
-                          WeightParams, dense_eig, exact_filter, gbjbf_exact,
-                          jbf, measure_response, normalized_laplacian)
+from graphdenoise import (FilterKind, FilterSpec, HoleMask, ImageGray,
+                          NumericError, PixelGraph, WeightParams, dense_eig,
+                          exact_filter, gbjbf_exact, jbf, measure_response,
+                          normalized_laplacian, oracle)
+from graphdenoise.filters import FILTERS
 from graphdenoise.graph import sqrt_degrees
 from graphdenoise.oracle import _cg_spd_solve, gbjbf_response
 from graphdenoise.pipeline import block_operator, split_patches
@@ -101,24 +103,32 @@ class TestGbjbfExact:
         v = sqrt_degrees(g)
         np.testing.assert_allclose(gbjbf_exact(L, 2.0, v), v, atol=1e-10)
 
-    def test_residual_contract_dense_path(self, rng):
-        g, L = random_guide_patch(rng, 10, 10)
+    @pytest.mark.parametrize("size", [10, 60])   # 100- and 3600-node systems
+    def test_residual_contract(self, rng, size):
+        g, L = random_guide_patch(rng, size, size)
         b = rng.normal(0, 10, g.n_nodes)
         x = gbjbf_exact(L, 2.0, b)
         resid = b - (x + 2.0 * L.apply(L.apply(x)))
         assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(b)
 
-    def test_residual_contract_iterative_path(self, rng):
-        # 60x60 grid exceeds the dense-solve cutoff
-        g, L = random_guide_patch(rng, 60, 60)
-        b = rng.normal(0, 10, g.n_nodes)
-        x = gbjbf_exact(L, 2.0, b)
-        resid = b - (x + 2.0 * L.apply(L.apply(x)))
-        assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(b)
+    def test_fast_path_never_eigendecomposes(self, rng, monkeypatch):
+        def forbidden(L):
+            raise AssertionError("gbjbf's fast path eigendecomposed")
 
+        monkeypatch.setattr(oracle, "dense_eig", forbidden)
+        _, single = random_guide_patch(rng, 10, 10)
+        guide = ImageGray.from_array(rng.uniform(0, 255, (48, 64)))
+        _, block = block_operator(guide, HoleMask.all_false(64, 48),
+                                  split_patches(guide, 48), WeightParams())
+        spec = FilterSpec(FilterKind.GBJBF)
+        for L in (single, block):
+            b = rng.normal(0, 10, L.n)
+            x = FILTERS[FilterKind.GBJBF].fast(spec, L, b)
+            resid = b - (x + spec.rho * L.apply(L.apply(x)))
+            assert np.all(L.norm(resid) <= 1e-12 * L.norm(b))
 
     @pytest.mark.parametrize("bad", ["overflow", "nan", "inf"])
-    @pytest.mark.parametrize("size", [10, 60])   # dense and iterative paths
+    @pytest.mark.parametrize("size", [10, 60])   # 100- and 3600-node systems
     def test_nonfinite_norm_fails_closed(self, rng, size, bad):
         g, L = random_guide_patch(rng, size, size)
         b = rng.normal(0, 1, g.n_nodes)
@@ -131,7 +141,7 @@ class TestGbjbfExact:
 
     @pytest.mark.parametrize("segment", [0, 1])
     def test_nonfinite_norm_in_one_segment_fails_closed(self, rng, segment):
-        # a 48x48 patch (iterative path) and a 16x48 one (dense path)
+        # a 48x48 patch and a ragged 16x48 one, solved in one CG run
         guide = ImageGray.from_array(rng.uniform(0, 255, (48, 64)))
         grid = split_patches(guide, 48)
         graph, L = block_operator(guide, HoleMask.all_false(64, 48), grid,

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from graphdenoise import (DimensionMismatchError, FilterKind, FilterSpec,
                           split_patches)
 from graphdenoise.pipeline import (PatchGrid, block_operator, extract_patch,
                                    patch_operator)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestNoise:
@@ -104,7 +110,7 @@ class TestDenoise:
         np.testing.assert_allclose(out.samples, ref, atol=1e-10)
 
     # a regular tiling, and a ragged one whose operator mixes 4096-node
-    # patches (gbjbf's CG path) with <= 2048-node ones (its dense path)
+    # patches with <= 2048-node edge tiles
     TILINGS = {"32x32/16": (32, 32, 16), "100x150/64": (100, 150, 64)}
 
     def _tiled_inputs(self, rng, tiling):
@@ -146,12 +152,16 @@ class TestDenoise:
         lx = L.apply(x)
         dots = L.dot(x, lx)
         degrees, xs, lxs = L.parts(graph.degrees), L.parts(x), L.parts(lx)
+        csr = L.matrix.tocsr()
         for i, p in enumerate(grid.patches):
             g, Lp = patch_operator(guide, mask, p, WeightParams())
             assert degrees[i].tobytes() == g.degrees.tobytes()
             assert lxs[i].tobytes() == Lp.apply(xs[i]).tobytes()
             assert dots[i] == xs[i] @ lxs[i]
-            assert L.segment(i).dense().tobytes() == Lp.dense().tobytes()
+            slab = L.slab(i)
+            idx = np.arange(slab.stop - slab.start)[L.segments[i]]
+            block = csr[slab, slab][idx][:, idx]
+            assert block.toarray().tobytes() == Lp.dense().tobytes()
         # padding nodes are isolated
         padding = grid.to_nodes(np.zeros((noisy.height, noisy.width), bool), True)
         assert not np.any(graph.degrees[padding])
@@ -183,6 +193,35 @@ class TestDenoise:
         denoise(noisy, guide, mask, FilterSpec(FilterKind.K_CG0), WeightParams(),
                 patch_size=patch)
         assert calls == [6 * 64 * 64]
+
+    GBJBF_RUN = """
+import hashlib, sys
+import numpy as np
+from graphdenoise import (FilterKind, FilterSpec, HoleMask, ImageGray, NoiseSpec,
+                          WeightParams, add_gaussian_noise, denoise)
+guide = ImageGray.from_array(np.random.default_rng(7).uniform(0, 255, (96, 96)))
+noisy = add_gaussian_noise(guide, NoiseSpec(sigma=10.0, seed=3))
+out, _ = denoise(noisy, guide, HoleMask.all_false(96, 96), FilterSpec(FilterKind.GBJBF),
+                 WeightParams(sigma_r=10.0), patch_size=int(sys.argv[1]))
+print(noisy.samples.min(), noisy.samples.max(), out.samples.min(), out.samples.max(),
+      hashlib.sha256(out.samples.tobytes()).hexdigest())
+"""
+
+    @pytest.mark.parametrize("patch", [32, 64])   # 64: ragged 96x32 edge tiles
+    def test_gbjbf_bounded_and_reproducible_across_blas_threads(self, patch):
+        # a random guide at sigma_r 10 has edge weights down to ~1e-141, so
+        # some nodes are nearly isolated; the BLAS thread count is fixed at
+        # process start, hence one subprocess per count
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
+            r = subprocess.run([sys.executable, "-c", self.GBJBF_RUN, str(patch)],
+                               env=env, capture_output=True, text=True, timeout=300)
+            assert r.returncode == 0, r.stderr
+            lo, hi, out_lo, out_hi, digest = r.stdout.split()
+            assert float(lo) <= float(out_lo) and float(out_hi) <= float(hi)
+            digests.append(digest)
+        assert digests[0] == digests[1]
 
     def test_worker_count_does_not_change_output(self, rng):
         clean, guide, noisy = self._inputs(rng)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from graphdenoise import (FilterKind, WarpParams, pipeline, synth_scene,
+from graphdenoise import (FilterKind, WarpParams, pipeline, scene, synth_scene,
                           warp_guide)
 from graphdenoise.cli import main
 from graphdenoise.filters import FILTERS, FilterDef
@@ -280,6 +280,20 @@ class TestCli:
                    "--mask", str(warp_dir / "mask.pbm"),
                    "--filter", "cheb", "--out", str(out)])
         assert rc == 4
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("exc", [MemoryError, OverflowError])
+    def test_out_of_memory_or_arithmetic_error_is_numeric_error(
+            self, tmp_path, monkeypatch, capsys, exc):
+        # stands in for an extreme --size: nothing is allocated at that size
+        def fail(**kwargs):
+            raise exc()
+
+        monkeypatch.setattr(scene, "synth_scene", fail)
+        out = tmp_path / "scene"
+        assert main(["synth", "--out", str(out), "--size", "100000"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
     def test_denoise_precomputed_noisy_input(self, tmp_path):
