@@ -37,9 +37,9 @@ def main() -> int:
     noisy = add_gaussian_noise(scene.right, NoiseSpec(sigma=args.sigma, seed=1234))
 
     patch = (args.x0, args.y0, args.size, args.size)
-    g, L = patch_operator(warp.guide, warp.mask, patch, WeightParams())
+    L = patch_operator(warp.guide, warp.mask, patch, WeightParams())
     eig = dense_eig(L)
-    b = normalize_signal(g, extract_patch(noisy, patch).samples)
+    b = normalize_signal(L, extract_patch(noisy, patch).samples)
 
     os.makedirs(args.out, exist_ok=True)
     for kind in FilterKind:

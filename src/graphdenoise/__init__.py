@@ -23,8 +23,7 @@ from .oracle import (EigenDecomposition, SpectralResponse, dense_eig,
                      exact_filter, gbjbf_exact, krylov_minimize,
                      measure_response)
 from .pipeline import (DenoiseReport, NoiseSpec, PatchGrid,
-                       add_gaussian_noise, denoise, merge_patches, psnr,
-                       split_patches)
+                       add_gaussian_noise, denoise, psnr, split_patches)
 from .scene import StereoScene, synth_scene
 
 __version__ = "0.1.0"
@@ -39,7 +38,7 @@ __all__ = [
     "build_graph", "cg_filter", "cheb_design", "cheb_filter", "denoise",
     "denormalize_signal", "dense_eig", "exact_filter", "gbjbf_exact",
     "interp_subpel", "jbf", "krylov_minimize", "measure_response",
-    "median_fill", "merge_patches", "normalize_signal", "normalized_laplacian",
+    "median_fill", "normalize_signal", "normalized_laplacian",
     "poly_expand_gbjbf", "poly_filter", "psnr", "quadratic_objective",
     "split_patches", "synth_scene", "warp_guide",
 ]

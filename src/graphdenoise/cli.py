@@ -109,8 +109,7 @@ def cmd_warp(args) -> int:
 
     source = load_image(args.source)
     depth = dibr.load_depth(args.depth, args.scale)
-    params = dibr.WarpParams(disparity_scale=1.0,
-                             direction=args.direction.replace("-", "_"))
+    params = dibr.WarpParams(direction=args.direction.replace("-", "_"))
     result = dibr.warp_guide(source, depth, params)
     os.makedirs(args.out, exist_ok=True)
     save_image(os.path.join(args.out, "guide.pgm"), result.guide)
@@ -177,12 +176,12 @@ def _verify_against_oracle(noisy, denoised, guide, mask, spec, weights, patch_si
     """
     reference = FILTERS[spec.kind].reference
     for patch in pipeline.split_patches(noisy, patch_size).patches:
-        g, L = pipeline.patch_operator(guide, mask, patch, weights)
-        live = g.degrees > 0
+        L = pipeline.patch_operator(guide, mask, patch, weights)
+        live = L.degrees > 0
         if not np.any(live):
             continue
-        fast_norm = normalize_signal(g, pipeline.extract_patch(denoised, patch).samples)
-        b = normalize_signal(g, pipeline.extract_patch(noisy, patch).samples)
+        fast_norm = normalize_signal(L, pipeline.extract_patch(denoised, patch).samples)
+        b = normalize_signal(L, pipeline.extract_patch(noisy, patch).samples)
         ref = reference(spec, L, b)
         err = (np.max(np.abs(fast_norm[live] - ref[live]))
                / max(1.0, np.max(np.abs(ref[live]))))
@@ -212,10 +211,9 @@ def cmd_spectral_response(args) -> int:
     if x0 < 0 or y0 < 0 or x0 + size > guide.width or y0 + size > guide.height:
         raise ValueError("patch window falls outside the guide image")
     patch = (x0, y0, size, size)
-    g, L = pipeline.patch_operator(guide, mask, patch,
-                                   WeightParams(sigma_r=args.sigma_r))
+    L = pipeline.patch_operator(guide, mask, patch, WeightParams(sigma_r=args.sigma_r))
     spec = _filter_spec(args)
-    b = normalize_signal(g, pipeline.extract_patch(signal, patch).samples)
+    b = normalize_signal(L, pipeline.extract_patch(signal, patch).samples)
     response = measure_response(partial(FILTERS[spec.kind].fast, spec, L),
                                 dense_eig(L), b)
     response.write_csv(args.out)

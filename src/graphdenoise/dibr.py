@@ -63,12 +63,9 @@ class DepthMap:
 
 @dataclass(frozen=True)
 class WarpParams:
-    disparity_scale: float = 1.0
     direction: str = "left_to_right"
 
     def __post_init__(self):
-        if not np.isfinite(self.disparity_scale):
-            raise ValueError("disparity_scale must be finite")
         if self.direction not in ("left_to_right", "right_to_left"):
             raise ValueError(f"unknown warp direction {self.direction!r}")
 
@@ -115,7 +112,7 @@ def warp_guide(source: ImageGray, depth: DepthMap, params: WarpParams) -> WarpRe
         raise DimensionMismatchError("source/depth size mismatch")
     h, w = source.height, source.width
     src = source.to_array()
-    disp = params.disparity_scale * depth.to_array()
+    disp = depth.to_array()
     sign = 1.0 if params.direction == "left_to_right" else -1.0
 
     guide = np.zeros((h, w), dtype=np.float64)

@@ -16,7 +16,8 @@ so cost is O(k (n + edges)) for a degree/iteration budget k:
 
 ``FILTERS`` maps each ``FilterKind`` to its normalized-domain fast path and
 its dense oracle reference; ``apply_filter`` dispatches through it and owns
-the D^{+-1/2} round trip, so the individual filters compose freely.
+the D^{+-1/2} round trip, read from the operator's own degrees, so the
+individual filters compose freely.
 """
 from __future__ import annotations
 
@@ -27,9 +28,8 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .errors import DimensionMismatchError
-from .graph import (NormalizedLaplacian, PixelGraph, denormalize_signal,
-                    normalize_signal)
+from .errors import DimensionMismatchError, NumericError
+from .graph import NormalizedLaplacian, denormalize_signal, normalize_signal
 from .image import _frozen
 from .oracle import (dense_eig, exact_filter, gbjbf_exact, gbjbf_response,
                      krylov_minimize)
@@ -309,22 +309,22 @@ FILTERS: dict[FilterKind, FilterDef] = {
 }
 
 
-def apply_filter(spec: FilterSpec, L: NormalizedLaplacian, graph: PixelGraph,
-                 b_hat: np.ndarray) -> np.ndarray:
-    """Normalize, run the selected filter's fast path, denormalize.
-
-    ``graph`` supplies the node count and degrees: a ``PixelGraph``, or the
-    pipeline's ``BlockGraph`` for a block-diagonal L.
+def apply_filter(spec: FilterSpec, L: NormalizedLaplacian, b_hat: np.ndarray) -> np.ndarray:
+    """Normalize by L's degrees, run the selected filter's fast path,
+    denormalize.
 
     Isolated (hole) pixels carry no graph information, so they are passed
-    through bit-identical to the input for every filter kind.
+    through bit-identical to the input for every filter kind.  A result
+    that is not finite everywhere raises ``NumericError``.
     """
     b_hat = np.asarray(b_hat, dtype=np.float64)
-    if b_hat.shape != (graph.n_nodes,) or L.n != graph.n_nodes:
-        raise DimensionMismatchError("signal/graph/operator size mismatch")
-    y = FILTERS[spec.kind].fast(spec, L, normalize_signal(graph, b_hat))
-    out = denormalize_signal(graph, y)
-    iso = graph.degrees == 0
+    if b_hat.shape != (L.n,):
+        raise DimensionMismatchError("signal/operator size mismatch")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = denormalize_signal(L, FILTERS[spec.kind].fast(spec, L, normalize_signal(L, b_hat)))
+    iso = L.degrees == 0
     if np.any(iso):
         out[iso] = b_hat[iso]
+    if not np.isfinite(out).all():
+        raise NumericError(f"{spec.kind.value} filter output is not finite")
     return out

@@ -15,7 +15,9 @@ of isolated (degree-0) nodes are identically zero, and the square-root
 degree scalings D^{+-1/2} act as the identity on those coordinates, so any
 filter with unit response at eigenvalue 0 passes hole pixels through.
 
-An operator may be block diagonal over several disjoint graphs, its
+``NormalizedLaplacian`` carries the degrees D with L, so it is the one
+object a filter needs: L for the products, D for the D^{+-1/2} round
+trip.  An operator may be block diagonal over several disjoint graphs, its
 *segments* (the image pipeline filters every patch at once this way).
 Inner products then come one per segment, so input-adaptive filters keep
 one step size per graph; an operator built from one ``PixelGraph`` has a
@@ -146,9 +148,10 @@ def build_graph(guide: ImageGray, mask: HoleMask, params: WeightParams) -> Pixel
 class NormalizedLaplacian:
     """Sparse symmetric operator I - D^{-1/2} W D^{-1/2}.
 
-    Isolated nodes contribute zero rows and columns (their diagonal is 0,
-    not 1), which keeps the operator PSD with spectrum in [0, 2] and makes
-    sqrt(degrees) a null vector.
+    ``degrees`` are the node degrees D the matrix was built from.
+    Isolated nodes (degree 0) contribute zero rows and columns (their
+    diagonal is 0, not 1), which keeps the operator PSD with spectrum in
+    [0, 2] and makes sqrt(degrees) a null vector.
 
     ``segments`` splits the node order into len(segments) equal contiguous
     slabs with no edges between them; entry i selects, from slab i, the
@@ -156,9 +159,13 @@ class NormalizedLaplacian:
     carry padding nodes outside every graph).
     """
 
-    n: int
     matrix: sp.spmatrix
+    degrees: np.ndarray
     segments: tuple = (slice(None),)
+
+    @property
+    def n(self) -> int:
+        return self.degrees.size
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -218,29 +225,28 @@ def normalized_laplacian(g: PixelGraph) -> NormalizedLaplacian:
     vals = np.concatenate([-s, -s, np.ones(diag_idx.size)])
     m = sp.coo_matrix((vals, (rows, cols)), shape=(g.n_nodes, g.n_nodes)).tocsr()
     m.sum_duplicates()
-    return NormalizedLaplacian(n=g.n_nodes, matrix=m)
+    return NormalizedLaplacian(matrix=m, degrees=deg)
 
 
-def sqrt_degrees(g: PixelGraph) -> np.ndarray:
+def sqrt_degrees(g) -> np.ndarray:
     return np.sqrt(g.degrees)
 
 
-def normalize_signal(g: PixelGraph, xhat: np.ndarray) -> np.ndarray:
+def normalize_signal(g, xhat: np.ndarray) -> np.ndarray:
     """Vertex-domain signal into the normalized domain: x = D^{1/2} x_hat.
 
+    ``g`` is anything with ``degrees`` (an operator or a ``PixelGraph``).
     Degree-0 coordinates pass through unchanged.
     """
     xhat = np.asarray(xhat, dtype=np.float64)
-    if xhat.shape != (g.n_nodes,):
+    if xhat.shape != g.degrees.shape:
         raise DimensionMismatchError("signal/graph size mismatch")
-    s = sqrt_degrees(g)
-    return np.where(g.degrees > 0, xhat * s, xhat)
+    return np.where(g.degrees > 0, xhat * sqrt_degrees(g), xhat)
 
 
-def denormalize_signal(g: PixelGraph, x: np.ndarray) -> np.ndarray:
+def denormalize_signal(g, x: np.ndarray) -> np.ndarray:
     """Back to the vertex domain: x_hat = D^{-1/2} x (identity on degree 0)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (g.n_nodes,):
+    if x.shape != g.degrees.shape:
         raise DimensionMismatchError("signal/graph size mismatch")
-    s = sqrt_degrees(g)
-    return np.where(g.degrees > 0, x / np.where(g.degrees > 0, s, 1.0), x)
+    return np.where(g.degrees > 0, x / np.where(g.degrees > 0, sqrt_degrees(g), 1.0), x)

@@ -4,8 +4,8 @@ per-patch graph filtering, hole median pass, and PSNR evaluation.
 Every patch is filtered on its own guide-derived graph, with no cross-patch
 edges and no overlap blending.  ``denoise`` runs all patches in one pass:
 ``block_operator`` lays the image out tile by tile (``PatchGrid.to_nodes``)
-and builds one block-diagonal Laplacian whose segments are the patch
-graphs, straight from the 4-neighbour weights, so a single
+and builds one block-diagonal Laplacian, with its degrees, whose segments
+are the patch graphs, straight from the 4-neighbour weights, so a single
 ``apply_filter`` call filters the whole image.  Degrees, edge scalings,
 Laplacian applies and per-segment inner products are evaluated in the same
 floating-point order as on each patch's own ``patch_operator`` graph, so
@@ -22,9 +22,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dibr import median_fill
-from .errors import DimensionMismatchError, NumericError
+from .errors import NumericError
 from .filters import FilterSpec, apply_filter
-from .graph import (NormalizedLaplacian, PixelGraph, WeightParams, build_graph,
+from .graph import (NormalizedLaplacian, WeightParams, build_graph,
                     normalized_laplacian)
 from .image import HoleMask, ImageGray, _frozen, check_same_shape
 
@@ -136,40 +136,18 @@ def extract_mask_patch(mask: HoleMask, patch) -> HoleMask:
 
 
 def patch_operator(guide: ImageGray, mask: HoleMask, patch,
-                   weights: WeightParams) -> tuple[PixelGraph, NormalizedLaplacian]:
-    """The bilateral graph of one patch of the guide and its normalized
-    Laplacian."""
-    g = build_graph(extract_patch(guide, patch), extract_mask_patch(mask, patch), weights)
-    return g, normalized_laplacian(g)
-
-
-def merge_patches(grid: PatchGrid, patch_images) -> ImageGray:
-    """Left inverse of split_patches: reassemble patch images in grid order."""
-    patch_images = list(patch_images)
-    if len(patch_images) != len(grid.patches):
-        raise DimensionMismatchError("patch count mismatch")
-    out = np.empty((grid.height, grid.width), dtype=np.float64)
-    for (x0, y0, w, h), p in zip(grid.patches, patch_images):
-        if (p.width, p.height) != (w, h):
-            raise DimensionMismatchError("patch image does not fit its tile")
-        out[y0 : y0 + h, x0 : x0 + w] = p.to_array()
-    return ImageGray.from_array(out)
-
-
-@dataclass(frozen=True)
-class BlockGraph:
-    """What signal normalization reads of the block-diagonal patch graph:
-    its node count and degrees, in tile-major node order."""
-
-    n_nodes: int
-    degrees: np.ndarray
+                   weights: WeightParams) -> NormalizedLaplacian:
+    """The normalized Laplacian, with its degrees, of the bilateral graph
+    of one patch of the guide, assembled by ``build_graph``."""
+    return normalized_laplacian(
+        build_graph(extract_patch(guide, patch), extract_mask_patch(mask, patch), weights))
 
 
 def block_operator(guide: ImageGray, mask: HoleMask, grid: PatchGrid,
-                   weights: WeightParams) -> tuple[BlockGraph, NormalizedLaplacian]:
-    """The bilateral graphs of all patches as one block-diagonal graph in
-    the grid's tile-major node order, and its normalized Laplacian with one
-    segment per patch.
+                   weights: WeightParams) -> NormalizedLaplacian:
+    """The normalized Laplacian, with its degrees, of the bilateral graphs
+    of all patches as one block-diagonal graph in the grid's tile-major
+    node order, with one segment per patch.
 
     Padding nodes are isolated like holes.  Each patch's degrees, edge
     scalings and Laplacian rows are computed in the order ``build_graph``
@@ -213,8 +191,8 @@ def block_operator(guide: ImageGray, mask: HoleMask, grid: PatchGrid,
     data[3, 1:] = -s_right[:-1]   # A[v - 1, v]
     data[4, p:] = -s_down[:-p]    # A[v - p, v]
     m = sp.dia_matrix((data, np.array([-p, -1, 0, 1, p])), shape=(n, n))
-    L = NormalizedLaplacian(n=n, matrix=m, segments=grid.segments())
-    return BlockGraph(n_nodes=n, degrees=_frozen(deg.ravel())), L
+    return NormalizedLaplacian(matrix=m, degrees=_frozen(deg.ravel()),
+                               segments=grid.segments())
 
 
 @dataclass
@@ -296,8 +274,8 @@ def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec
     check_same_shape(noisy, mask, "noisy/mask")
     grid = split_patches(noisy, patch_size)
     t0 = time.perf_counter()
-    graph, L = block_operator(guide, mask, grid, weights)
-    y = apply_filter(spec, L, graph, grid.to_nodes(noisy.to_array(), 0.0))
+    L = block_operator(guide, mask, grid, weights)
+    y = apply_filter(spec, L, grid.to_nodes(noisy.to_array(), 0.0))
     filtered = ImageGray.from_array(grid.from_nodes(y))
     filter_seconds = time.perf_counter() - t0
     filled = median_fill(filtered, mask)

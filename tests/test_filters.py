@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphdenoise import (FilterKind, FilterSpec, HoleMask, ImageGray,
-                          PixelGraph, WeightParams, apply_filter, build_graph,
-                          cg_filter, cheb_design, cheb_filter, dense_eig,
-                          exact_filter, gbjbf_exact, jbf, krylov_minimize,
-                          normalize_signal, normalized_laplacian,
+                          NumericError, PixelGraph, WeightParams, apply_filter,
+                          build_graph, cg_filter, cheb_design, cheb_filter,
+                          dense_eig, exact_filter, gbjbf_exact, jbf,
+                          krylov_minimize, normalize_signal, normalized_laplacian,
                           poly_expand_gbjbf, poly_filter, quadratic_objective)
 from graphdenoise.filters import ChebDesign, PolyExpansion
 from graphdenoise.graph import sqrt_degrees
@@ -300,14 +300,14 @@ class TestCgFilter:
         holes[:, 32:48] = True
         mask = HoleMask.from_array(holes)
         grid = split_patches(guide, 16)
-        graph, L = block_operator(guide, mask, grid, WeightParams())
+        L = block_operator(guide, mask, grid, WeightParams())
         b = rng.normal(0, 1, L.n)
         b[L.slab(0)] = 0.0
-        d = graph.degrees[L.slab(1)]
+        d = L.degrees[L.slab(1)]
         b[L.slab(1)] = np.where(d > 0, np.sqrt(d), -0.0)
         x, info = cg_filter(L, b, 3, variant, return_info=True)
         for i, p in enumerate(grid.patches):
-            g, Lp = patch_operator(guide, mask, p, WeightParams())
+            Lp = patch_operator(guide, mask, p, WeightParams())
             xp, ip = cg_filter(Lp, L.parts(b)[i], 3, variant, return_info=True)
             assert L.parts(x)[i].tobytes() == xp.tobytes()
             assert (info.iterations[i], info.breakdown[i]) == (ip.iterations[0],
@@ -342,14 +342,14 @@ class TestApplyFilter:
         noisy = np.full(64, 131.25)
         g = build_graph(guide, HoleMask.all_false(8, 8), WeightParams())
         L = normalized_laplacian(g)
-        out = apply_filter(FilterSpec(FilterKind.JBF), L, g, noisy)
+        out = apply_filter(FilterSpec(FilterKind.JBF), L, noisy)
         np.testing.assert_allclose(out, noisy, atol=1e-10)
 
     def test_cheb_dispatch_matches_direct_call(self, rng):
         g, L = random_guide_patch(rng, 6, 6)
         b_hat = rng.uniform(0, 255, g.n_nodes)
         spec = FilterSpec(FilterKind.K_CHEB, k=1, l=0.5)
-        via_spec = apply_filter(spec, L, g, b_hat)
+        via_spec = apply_filter(spec, L, b_hat)
         x = normalize_signal(g, b_hat)
         direct = cheb_filter(L, x, cheb_design(1, 0.5))
         from graphdenoise import denormalize_signal
@@ -359,7 +359,7 @@ class TestApplyFilter:
     def test_gbjbf_dispatch_routes_to_exact_solve(self, rng):
         g, L = random_guide_patch(rng, 6, 6)
         b_hat = rng.uniform(0, 255, g.n_nodes)
-        out = apply_filter(FilterSpec(FilterKind.GBJBF, rho=2.0), L, g, b_hat)
+        out = apply_filter(FilterSpec(FilterKind.GBJBF, rho=2.0), L, b_hat)
         from graphdenoise import denormalize_signal
 
         ref = denormalize_signal(g, gbjbf_exact(L, 2.0, normalize_signal(g, b_hat)))
@@ -374,14 +374,22 @@ class TestApplyFilter:
         g = build_graph(guide, mask, WeightParams())
         L = normalized_laplacian(g)
         b_hat = rng.uniform(0, 255, 64)
-        out = apply_filter(FilterSpec(kind), L, g, b_hat)
+        out = apply_filter(FilterSpec(kind), L, b_hat)
         iso = g.degrees == 0
         assert np.array_equal(out[iso], b_hat[iso])
+
+    @pytest.mark.parametrize("kind", list(FilterKind))
+    def test_nonfinite_output_is_numeric_error(self, kind):
+        # finite input whose D^{1/2} scaling and filter overflow
+        guide = ImageGray.from_array(np.full((4, 4), 50.0))
+        L = normalized_laplacian(build_graph(guide, HoleMask.all_false(4, 4), WeightParams()))
+        with pytest.raises(NumericError):
+            apply_filter(FilterSpec(kind), L, np.full(16, 1e308))
 
     def test_size_mismatch(self, rng):
         g, L = random_guide_patch(rng, 4, 4)
         with pytest.raises(Exception):
-            apply_filter(FilterSpec(FilterKind.JBF), L, g, np.zeros(7))
+            apply_filter(FilterSpec(FilterKind.JBF), L, np.zeros(7))
 
 
 class TestFilterSpecValidation:

@@ -91,6 +91,11 @@ class TestLaplacian:
         v = sqrt_degrees(g)
         assert np.max(np.abs(L.apply(v))) <= 1e-12 * v.max()
 
+    def test_operator_carries_the_graph_degrees(self, rng):
+        g, L = random_guide_patch(rng, 9, 6)
+        assert L.degrees.tobytes() == g.degrees.tobytes()
+        assert L.n == L.matrix.shape[0] == L.degrees.size == g.n_nodes
+
     def test_zero_operator_maps_to_zero(self):
         L = normalized_laplacian(PixelGraph.from_edges(4, []))
         x = np.array([3.0, -1.0, 2.0, 0.5])

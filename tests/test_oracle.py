@@ -118,7 +118,7 @@ class TestGbjbfExact:
         monkeypatch.setattr(oracle, "dense_eig", forbidden)
         _, single = random_guide_patch(rng, 10, 10)
         guide = ImageGray.from_array(rng.uniform(0, 255, (48, 64)))
-        _, block = block_operator(guide, HoleMask.all_false(64, 48),
+        block = block_operator(guide, HoleMask.all_false(64, 48),
                                   split_patches(guide, 48), WeightParams())
         spec = FilterSpec(FilterKind.GBJBF)
         for L in (single, block):
@@ -144,8 +144,7 @@ class TestGbjbfExact:
         # a 48x48 patch and a ragged 16x48 one, solved in one CG run
         guide = ImageGray.from_array(rng.uniform(0, 255, (48, 64)))
         grid = split_patches(guide, 48)
-        graph, L = block_operator(guide, HoleMask.all_false(64, 48), grid,
-                                  WeightParams())
+        L = block_operator(guide, HoleMask.all_false(64, 48), grid, WeightParams())
         b = rng.normal(0, 1, L.n)
         assert np.all(np.isfinite(gbjbf_exact(L, 2.0, b)))
         b[L.slab(segment)] *= 1e160

@@ -10,8 +10,7 @@ import pytest
 from graphdenoise import (DimensionMismatchError, FilterKind, FilterSpec,
                           HoleMask, ImageGray, NoiseSpec, WeightParams,
                           add_gaussian_noise, apply_filter, build_graph,
-                          denoise, median_fill, merge_patches, pipeline, psnr,
-                          split_patches)
+                          denoise, median_fill, pipeline, psnr, split_patches)
 from graphdenoise.pipeline import (PatchGrid, block_operator, extract_patch,
                                    patch_operator)
 
@@ -57,12 +56,6 @@ class TestPatches:
         for x0, y0, w, h in grid.patches:
             count[y0 : y0 + h, x0 : x0 + w] += 1
         assert np.all(count == 1)
-
-    def test_merge_is_left_inverse(self, rng):
-        img = ImageGray.from_array(rng.uniform(0, 255, (70, 100)))
-        grid = split_patches(img, 64)
-        back = merge_patches(grid, [extract_patch(img, p) for p in grid.patches])
-        assert np.array_equal(back.samples, img.samples)
 
     def test_small_patch_rejected(self, rng):
         img = ImageGray.from_array(rng.uniform(0, 255, (16, 16)))
@@ -130,32 +123,32 @@ class TestDenoise:
         out, _ = denoise(noisy, guide, mask, spec, weights, patch_size=patch)
 
         grid = split_patches(noisy, patch)
-        order = rng.permutation(len(grid.patches))
-        tiles = [None] * len(grid.patches)
-        for idx in order:
+        filtered = np.empty((noisy.height, noisy.width))
+        for idx in rng.permutation(len(grid.patches)):
             p = grid.patches[idx]
-            g, L = patch_operator(guide, mask, p, weights)
-            y = apply_filter(spec, L, g, extract_patch(noisy, p).samples)
+            L = patch_operator(guide, mask, p, weights)
             x0, y0, w, h = p
-            tiles[idx] = ImageGray(w, h, y)
-        ref = median_fill(merge_patches(grid, tiles), mask)
+            filtered[y0:y0 + h, x0:x0 + w] = apply_filter(
+                spec, L, extract_patch(noisy, p).samples).reshape(h, w)
+        ref = median_fill(ImageGray.from_array(filtered), mask)
         assert np.array_equal(out.samples, ref.samples)
 
     @pytest.mark.parametrize("tiling", list(TILINGS))
     def test_block_operator_segments_are_the_patch_operators(self, rng, tiling):
         noisy, guide, mask, patch = self._tiled_inputs(rng, tiling)
         grid = split_patches(noisy, patch)
-        graph, L = block_operator(guide, mask, grid, WeightParams())
+        L = block_operator(guide, mask, grid, WeightParams())
         assert len(L.segments) == len(grid.patches)
-        assert graph.n_nodes == L.n == len(grid.patches) * patch**2
+        assert L.n == L.matrix.shape[0] == len(grid.patches) * patch**2
         x = rng.normal(0, 1, L.n)      # padding and other patches carry data too
         lx = L.apply(x)
         dots = L.dot(x, lx)
-        degrees, xs, lxs = L.parts(graph.degrees), L.parts(x), L.parts(lx)
+        degrees, xs, lxs = L.parts(L.degrees), L.parts(x), L.parts(lx)
         csr = L.matrix.tocsr()
         for i, p in enumerate(grid.patches):
-            g, Lp = patch_operator(guide, mask, p, WeightParams())
-            assert degrees[i].tobytes() == g.degrees.tobytes()
+            Lp = patch_operator(guide, mask, p, WeightParams())   # via build_graph
+            assert Lp.n == Lp.matrix.shape[0] == Lp.degrees.size
+            assert degrees[i].tobytes() == Lp.degrees.tobytes()
             assert lxs[i].tobytes() == Lp.apply(xs[i]).tobytes()
             assert dots[i] == xs[i] @ lxs[i]
             slab = L.slab(i)
@@ -164,7 +157,7 @@ class TestDenoise:
             assert block.toarray().tobytes() == Lp.dense().tobytes()
         # padding nodes are isolated
         padding = grid.to_nodes(np.zeros((noisy.height, noisy.width), bool), True)
-        assert not np.any(graph.degrees[padding])
+        assert not np.any(L.degrees[padding])
         assert sum(d.size for d in degrees) == L.n - padding.sum() == noisy.samples.size
 
     def test_tile_layout_round_trip(self, rng):
