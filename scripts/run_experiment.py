@@ -34,7 +34,6 @@ def main() -> int:
     ap.add_argument("--k", type=int, default=3)
     ap.add_argument("--sigma-r", type=float, default=10.0)
     ap.add_argument("--patch", type=int, default=64)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     scene = synth_scene(size=args.size, seed=args.scene_seed)
@@ -52,7 +51,7 @@ def main() -> int:
         spec = FilterSpec(kind=kind, k=args.k)
         t0 = time.perf_counter()
         out, _report = denoise(noisy, warp.guide, warp.mask, spec, weights,
-                               patch_size=args.patch, workers=args.threads)
+                               patch_size=args.patch)
         dt = time.perf_counter() - t0
         val = psnr(out, scene.right)
         name = label(kind, args.k)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dibr, pipeline, scene
 from .errors import DimensionMismatchError, FileFormatError, NumericError
-from .filters import FILTERS, FilterKind, FilterSpec
+from .filters import FILTERS, MAX_K, FilterKind, FilterSpec
 from .graph import WeightParams, normalize_signal
 from .image import (HoleMask, atomic_write_bytes, load_image, load_mask,
                     save_image, save_mask)
@@ -28,7 +28,8 @@ _SPECTRAL_PATCH_CAP = 32
 
 def _add_filter_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--filter", required=True, choices=_FILTER_CHOICES)
-    p.add_argument("--k", type=int, default=3, help="degree / iteration count")
+    p.add_argument("--k", type=int, default=3,
+                   help=f"degree / iteration count (1 to {MAX_K})")
     p.add_argument("--l", type=float, default=0.5, help="stop-band start (cheb)")
     p.add_argument("--rho", type=float, default=2.0, help="regularization (gbjbf/poly)")
     p.add_argument("--sigma-r", type=float, default=10.0, dest="sigma_r",
@@ -46,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write the bundled synthetic stereo scene")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=scene.DEFAULT_SEED)
-    p.add_argument("--size", type=int, default=256)
+    p.add_argument("--size", type=int, default=256,
+                   help=f"scene side in pixels (64 to {scene.MAX_SIZE})")
 
     p = sub.add_parser("warp", help="depth-warp a source view into a guide image")
     p.add_argument("--source", required=True)

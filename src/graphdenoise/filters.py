@@ -12,7 +12,8 @@ so cost is O(k (n + edges)) for a degree/iteration budget k:
                     iteration.
 * ``cg_filter``  -- k conjugate-gradient iterations on the quadratic
                     x^T L x - 2 x^T f, an input-adaptive Krylov-subspace
-                    low-pass.
+                    low-pass (``graph.conjugate_gradients``, the loop
+                    gbjbf's solve runs too, with a breakdown stop).
 
 ``FILTERS`` maps each ``FilterKind`` to its normalized-domain fast path and
 its dense oracle reference; ``apply_filter`` dispatches through it and owns
@@ -29,10 +30,15 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .errors import DimensionMismatchError, NumericError
-from .graph import NormalizedLaplacian, denormalize_signal, normalize_signal
+from .graph import (NormalizedLaplacian, conjugate_gradients, denormalize_signal,
+                    normalize_signal)
 from .image import _frozen
 from .oracle import (dense_eig, exact_filter, gbjbf_exact, gbjbf_response,
                      krylov_minimize)
+
+# Largest degree / iteration count a FilterSpec accepts: the cost of
+# poly's series design grows as k^2 and every filter's as k.
+MAX_K = 256
 
 # Relative curvature below which a CG search direction is treated as lying
 # in the Laplacian nullspace (breakdown: stop, keep the current iterate).
@@ -52,9 +58,9 @@ class FilterKind(enum.Enum):
 class FilterSpec:
     """Which filter to run plus its parameters.
 
-    k is the polynomial degree / iteration count (unused by JBF and GBJBF),
-    l the stop-band start for the minimax filter, rho the regularization
-    weight for GBJBF and its polynomial approximation.
+    k is the polynomial degree / iteration count, 1 to MAX_K (unused by JBF
+    and GBJBF), l the stop-band start for the minimax filter, rho the
+    regularization weight for GBJBF and its polynomial approximation.
     """
 
     kind: FilterKind
@@ -65,8 +71,8 @@ class FilterSpec:
     def __post_init__(self):
         if not isinstance(self.kind, FilterKind):
             object.__setattr__(self, "kind", FilterKind(self.kind))
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        if not 1 <= self.k <= MAX_K:
+            raise ValueError(f"k must be in [1, {MAX_K}]")
         if not (0.0 < self.l < 2.0):
             raise ValueError("stop-band start l must lie in (0, 2)")
         if not self.rho > 0:
@@ -227,11 +233,8 @@ def cg_filter(L: NormalizedLaplacian, b: np.ndarray, k: int, variant: str = "cg"
     A search direction whose curvature p^T L p falls to 1e-14 of |p|^2
     lies numerically in the Laplacian nullspace; iteration stops there and
     the current iterate is returned (the degenerate curvature is never
-    divided by).  A vanishing initial residual returns b unchanged.
-
-    Every segment of L runs its own iteration (own step sizes, own stop),
-    and a segment that has stopped is never updated again, so each
-    segment's result is bit-identical to running on its graph alone.
+    divided by).  A vanishing initial residual returns b unchanged.  Each
+    segment of L runs its own iteration (``graph.conjugate_gradients``).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -240,29 +243,11 @@ def cg_filter(L: NormalizedLaplacian, b: np.ndarray, k: int, variant: str = "cg"
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (L.n,):
         raise DimensionMismatchError("signal/operator size mismatch")
-    x = b.copy()
     f = b if variant == "cg" else np.zeros_like(b)
-    r = f - L.apply(x)
+    r = f - L.apply(b)
     live = ~(L.norm(r) <= 1e-14 * L.norm(b))
-    p = r.copy()
-    rr = L.dot(r, r)
-    done = np.zeros(live.shape, np.int64)
-    breakdown = np.zeros(live.shape, bool)
-    for _ in range(k):
-        if not live.any():
-            break
-        lp = L.apply(p)
-        curv = L.dot(p, lp)
-        broke = live & (curv <= CG_BREAKDOWN_RTOL * L.dot(p, p))
-        breakdown |= broke
-        live &= ~broke
-        alpha = L.ratio(rr, curv, live)
-        x = L.where(live, x + alpha * p, x)
-        r = r - alpha * lp
-        rr_new = L.dot(r, r)
-        p = r + L.ratio(rr_new, rr, live) * p
-        rr = rr_new
-        done += live
+    x, _, _, done, breakdown = conjugate_gradients(
+        L, L.apply, b.copy(), r, live, k, breakdown_rtol=CG_BREAKDOWN_RTOL)
     info = CGInfo(iterations=done, breakdown=breakdown)
     return (x, info) if return_info else x
 

@@ -21,7 +21,8 @@ trip.  An operator may be block diagonal over several disjoint graphs, its
 *segments* (the image pipeline filters every patch at once this way).
 Inner products then come one per segment, so input-adaptive filters keep
 one step size per graph; an operator built from one ``PixelGraph`` has a
-single segment.
+single segment.  ``conjugate_gradients`` is the one per-segment CG loop,
+shared by the CG filters and the regularized (gbjbf) solve.
 """
 from __future__ import annotations
 
@@ -203,14 +204,54 @@ class NormalizedLaplacian:
         """One value per segment -> one value per node."""
         return np.repeat(v, self.n // len(self.segments))
 
-    def ratio(self, num: np.ndarray, den: np.ndarray, live: np.ndarray) -> np.ndarray:
-        """Per node, num / den of its segment if that segment is live, else
-        0 (a dead segment's den is never divided by)."""
-        return self.expand(np.divide(num, den, out=np.zeros_like(num), where=live))
 
-    def where(self, live: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
-        """``new`` on the segments flagged live, ``old`` (untouched) elsewhere."""
-        return new if live.all() else np.where(self.expand(live), new, old)
+def conjugate_gradients(L: NormalizedLaplacian, op, x: np.ndarray, r: np.ndarray,
+                        live: np.ndarray, steps: int, tol=None, breakdown_rtol=None):
+    """At most ``steps`` conjugate-gradient (Hestenes-Stiefel) steps on
+    op(x) = c, op symmetric and block diagonal like L, from iterate x with
+    residual r = c - op(x), on the segments flagged ``live``.
+
+    Each segment has its own step sizes and stop, and a stopped segment is
+    never stepped again, so its result is bit-identical to running on its
+    graph alone.  Stop rules (None turns one off): ``tol``, per segment,
+    stops at residual norm <= tol, checked before every step, and raises
+    ``NumericError`` on a non-finite one; ``breakdown_rtol`` stops without
+    stepping at curvature p^T op(p) <= breakdown_rtol |p|^2 (a nullspace
+    direction, never divided by).
+
+    Returns (x, rr, live, iterations, breakdown), the last four per
+    segment: squared residual norm, still live, steps taken, broke down.
+    """
+    live = live.copy()
+    iterations = np.zeros(live.shape, np.int64)
+    breakdown = np.zeros(live.shape, bool)
+
+    def ratio(num, den):   # per node: its segment's num / den if live, else 0
+        return L.expand(np.divide(num, den, out=np.zeros_like(num), where=live))
+
+    p = r
+    rr = L.dot(r, r)
+    for _ in range(steps):
+        if tol is not None:
+            if not np.all(np.isfinite(rr[live])):
+                raise NumericError("conjugate gradients: the residual norm is not finite")
+            live &= ~(np.sqrt(rr) <= tol)
+        if not live.any():
+            break
+        ap = op(p)
+        curv = L.dot(p, ap)
+        if breakdown_rtol is not None:
+            broke = live & (curv <= breakdown_rtol * L.dot(p, p))
+            breakdown |= broke
+            live &= ~broke
+        alpha = ratio(rr, curv)
+        x = x + alpha * p if live.all() else np.where(L.expand(live), x + alpha * p, x)
+        r = r - alpha * ap
+        rr_new = L.dot(r, r)
+        p = r + ratio(rr_new, rr) * p
+        rr = rr_new
+        iterations += live
+    return x, rr, live, iterations, breakdown
 
 
 def normalized_laplacian(g: PixelGraph) -> NormalizedLaplacian:

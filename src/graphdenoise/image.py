@@ -198,6 +198,8 @@ def read_pbm(path) -> np.ndarray:
         raise FileFormatError(f"{path}: not a binary PBM (P4)")
     (w, h), off = _read_header_tokens(data[2:], 2)
     off += 2
+    if w < 1 or h < 1:
+        raise FileFormatError(f"{path}: bad PBM geometry {w}x{h}")
     row_bytes = (w + 7) // 8
     need = row_bytes * h
     raster = data[off : off + need]

@@ -8,8 +8,9 @@ These are the references every fast vertex-domain filter is validated
 against.
 
 One fast path lives here too: ``gbjbf_exact``, the conjugate-gradient solve
-of the regularized system, which never eigendecomposes.  It stays in this
-module because the benchmark's tracer wraps it here by name.
+of the regularized system through ``graph.conjugate_gradients``, which
+never eigendecomposes.  It stays in this module because the benchmark's
+tracer wraps it here by name.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatchError, NumericError
-from .graph import NormalizedLaplacian
+from .graph import NormalizedLaplacian, conjugate_gradients
 from .image import _frozen, atomic_write_bytes
 
 
@@ -80,15 +81,16 @@ def gbjbf_response(rho: float):
 def gbjbf_exact(L: NormalizedLaplacian, rho: float, b: np.ndarray) -> np.ndarray:
     """Solve (I + rho L^2) x = b to relative residual <= 1e-12.
 
-    Conjugate gradients on the SPD operator, whose spectrum lies in
-    [1, 1 + rho * 4], so no eigendecomposition is needed; the dense
-    reference is ``gbjbf_response`` through ``dense_eig``.  The residual
-    contract is verified after the solve, and a norm that is not finite (an
-    overflowing or non-finite b) fails it.
-
-    A block-diagonal L is solved segment by segment: each segment has its
-    own step sizes and is held to its own residual contract, so its result
-    is bit-identical to solving on its graph alone.
+    Conjugate gradients (``graph.conjugate_gradients``, residual stop) on
+    the SPD operator, whose spectrum lies in [1, 1 + rho * 4], so no
+    eigendecomposition is needed; the dense reference is ``gbjbf_response``
+    through ``dense_eig``.  The contract is verified on the true residual
+    and the segments that miss it are solved once more from where they
+    stopped; a second miss, a solve that stalls within 1000 steps or a norm
+    that is not finite (an overflowing or non-finite b) raises
+    ``NumericError``.  Each segment of a block-diagonal L has its own step
+    sizes and contract, so its result is bit-identical to solving on its
+    graph alone.
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
@@ -105,50 +107,25 @@ def gbjbf_exact(L: NormalizedLaplacian, rho: float, b: np.ndarray) -> np.ndarray
         bnorm = L.norm(b)
     if not np.all(np.isfinite(bnorm)):
         raise NumericError("regularized solve: the right-hand side norm is not finite")
+    tol = 1e-12 * bnorm
     # an all-zero segment is its own solution
     nonzero = np.array([np.any(bi) for bi in L.parts(b)])
-    x = _cg_spd_solve(L, op, b, 1e-12, np.where(L.expand(nonzero), 0.0, b), nonzero)
 
-    def missed():
-        # fails closed: a NaN residual is a miss
-        return nonzero & ~(L.norm(b - op(x)) <= 1e-12 * bnorm)
+    def solve(x, live):
+        # CG on the live segments, then the misses (a NaN residual is one)
+        if live.any():
+            x, rr, live, _, _ = conjugate_gradients(L, op, x, b - op(x), live, 1000,
+                                                    tol=tol)
+            if not np.all(np.sqrt(rr[live]) <= tol[live]):
+                raise NumericError("regularized solve stalled above relative residual 1e-12")
+        return x, nonzero & ~(L.norm(b - op(x)) <= tol)
 
-    miss = missed()
+    x, miss = solve(np.where(L.expand(nonzero), 0.0, b), nonzero)
     if miss.any():
-        x = _cg_spd_solve(L, op, b, 1e-12, x, miss)
-        if missed().any():
+        x, miss = solve(x, miss)
+        if miss.any():
             raise NumericError("regularized solve missed the 1e-12 residual contract")
     return x
-
-
-def _cg_spd_solve(L: NormalizedLaplacian, op, b, rtol, x0, live, maxiter=1000):
-    """Conjugate gradients on op(x) = b from x0, on the segments flagged
-    live; the others keep x0.  Each segment has its own step sizes and
-    stops at relative residual rtol."""
-    x = x0.astype(np.float64).copy()
-    live = live.copy()
-    if not live.any():
-        return x
-    r = b - op(x)
-    tol = rtol * L.norm(b)
-    p = r.copy()
-    rr = L.dot(r, r)
-    for _ in range(maxiter):
-        if not np.all(np.isfinite(rr[live])):
-            raise NumericError("SPD solve: the residual norm is not finite")
-        live &= ~(np.sqrt(rr) <= tol)
-        if not live.any():
-            return x
-        ap = op(p)
-        alpha = L.ratio(rr, L.dot(p, ap), live)
-        x = L.where(live, x + alpha * p, x)
-        r = r - alpha * ap
-        rr_new = L.dot(r, r)
-        p = r + L.ratio(rr_new, rr, live) * p
-        rr = rr_new
-    if np.all(np.sqrt(rr[live]) <= tol[live]):
-        return x
-    raise NumericError(f"SPD solve stalled above relative residual {rtol:g}")
 
 
 @dataclass(frozen=True)

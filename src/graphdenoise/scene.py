@@ -28,6 +28,9 @@ FOREGROUND_DISPARITY_PX = 10.5
 DEPTH_SCALE = 0.015625
 
 DEFAULT_SEED = 2014
+# Largest scene side: each view costs 8 size^2 bytes, and warping and
+# denoising it a multiple of that.
+MAX_SIZE = 4096
 _N_WAVES = 6
 _TEXTURE_SPAN = 45.0
 
@@ -68,8 +71,8 @@ def foreground_rect(size: int) -> tuple[int, int, int, int]:
 
 
 def synth_scene(size: int = 256, seed: int = DEFAULT_SEED) -> StereoScene:
-    if size < 64:
-        raise ValueError("scene size must be >= 64")
+    if not 64 <= size <= MAX_SIZE:
+        raise ValueError(f"scene size must be in [64, {MAX_SIZE}]")
     rng = np.random.default_rng(np.random.PCG64(seed))
     f_bg = _plane_wave_texture(rng, base=150.0)
     f_fg = _plane_wave_texture(rng, base=95.0)

@@ -11,7 +11,7 @@ from graphdenoise import (FilterKind, FilterSpec, HoleMask, ImageGray,
                           dense_eig, exact_filter, gbjbf_exact, jbf,
                           krylov_minimize, normalize_signal, normalized_laplacian,
                           poly_expand_gbjbf, poly_filter, quadratic_objective)
-from graphdenoise.filters import ChebDesign, PolyExpansion
+from graphdenoise.filters import MAX_K, ChebDesign, PolyExpansion
 from graphdenoise.graph import sqrt_degrees
 from graphdenoise.pipeline import block_operator, patch_operator, split_patches
 
@@ -401,7 +401,8 @@ class TestFilterSpecValidation:
         assert FilterSpec("cheb").kind is FilterKind.K_CHEB
 
     @pytest.mark.parametrize("kw", [dict(k=0), dict(l=0.0), dict(l=2.0),
-                                    dict(rho=0.0), dict(rho=-1.0)])
+                                    dict(rho=0.0), dict(rho=-1.0),
+                                    dict(k=MAX_K + 1)])
     def test_rejects_bad_parameters(self, kw):
         with pytest.raises(ValueError):
             FilterSpec(FilterKind.K_CHEB, **kw)

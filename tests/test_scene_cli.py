@@ -296,6 +296,40 @@ class TestCli:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_scene_size_above_the_cap_is_usage_error(self, tmp_path, capsys):
+        # rejected before anything is allocated at that size
+        with pytest.raises(ValueError, match="scene size"):
+            synth_scene(size=scene.MAX_SIZE + 1)
+        out = tmp_path / "scene"
+        assert main(["synth", "--out", str(out), "--size", str(scene.MAX_SIZE + 1)]) == 2
+        assert "scene size must be in [64, 4096]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["257", "10000"])
+    def test_k_above_the_cap_is_usage_error(self, tmp_path, k):
+        scene_dir = self._synth(tmp_path, size=64)
+        warp_dir = self._warp(tmp_path, scene_dir)
+        out = tmp_path / "run"
+        rc = main(["denoise", "--clean", str(scene_dir / "right.pgm"),
+                   "--guide", str(warp_dir / "guide.pgm"),
+                   "--mask", str(warp_dir / "mask.pbm"),
+                   "--filter", "poly", "--k", k, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header", [b"P4\n0 5\n", b"P4\n64 0\n"])
+    def test_empty_mask_is_format_error(self, tmp_path, header):
+        scene_dir = self._synth(tmp_path, size=64)
+        warp_dir = self._warp(tmp_path, scene_dir)
+        (warp_dir / "mask.pbm").write_bytes(header)
+        out = tmp_path / "run"
+        rc = main(["denoise", "--clean", str(scene_dir / "right.pgm"),
+                   "--guide", str(warp_dir / "guide.pgm"),
+                   "--mask", str(warp_dir / "mask.pbm"),
+                   "--filter", "cheb", "--out", str(out)])
+        assert rc == 3
+        assert not out.exists() or not any(out.iterdir())
+
     def test_denoise_precomputed_noisy_input(self, tmp_path):
         scene_dir = self._synth(tmp_path)
         warp_dir = self._warp(tmp_path, scene_dir)

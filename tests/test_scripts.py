@@ -29,3 +29,19 @@ def test_export_responses_writes_every_kind(tmp_path):
     assert r.returncode == 0, r.stderr
     assert sorted(p.name for p in (tmp_path / "tmp").iterdir()) == \
         sorted(f"{kind.value}_k3.csv" for kind in FilterKind)
+
+
+def test_fingerprint_prints_one_hash_per_output(tmp_path):
+    r = run_script("fingerprint.py", "--sections", "ragged", "workloads", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    names = []
+    for line in r.stdout.splitlines():
+        name, digest = line.split(" ")
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        names.append(name)
+    assert len(names) == len(set(names))
+    # ragged: 4 tilings x 2 sigma_r x (6 filters + 2 CGInfo);
+    # workloads: 3 workloads x 2 seeds x 6 filters
+    assert len(names) == 4 * 2 * 8 + 3 * 2 * 6
+    assert {n.split("/")[1] for n in names if n.startswith("workloads/")} == \
+        {"cli_chain", "filter_sweep", "ramp_disparity"}
