@@ -34,7 +34,6 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SECTIONS = ("workloads", "ragged", "cli")
 KINDS = ("jbf", "gbjbf", "poly", "cheb", "cg", "cg0")
 SEEDS = (101, 102)
 # (width, height, patch): every tiling ends in ragged patches
@@ -136,7 +135,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=os.path.join(HERE, os.pardir),
                     help="checkout to fingerprint (default: this one)")
-    ap.add_argument("--sections", nargs="+", choices=SECTIONS, default=list(SECTIONS))
     args = ap.parse_args()
 
     # before numpy is first imported, and inherited by export_responses.py
@@ -144,13 +142,9 @@ def main() -> int:
         os.environ.setdefault(var, "1")
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
-    for section in args.sections:
-        if section == "workloads":
-            section_workloads()
-        elif section == "ragged":
-            section_ragged()
-        else:
-            section_cli(root)
+    section_workloads()
+    section_ragged()
+    section_cli(root)
     return 0
 
 

@@ -122,6 +122,11 @@ def cmd_warp(args) -> int:
 def cmd_denoise(args) -> int:
     import os
 
+    # usage errors before any I/O
+    spec = _filter_spec(args)
+    weights = WeightParams(sigma_r=args.sigma_r)
+    if args.check_oracle and args.patch > _SPECTRAL_PATCH_CAP:
+        raise ValueError("--check-oracle requires --patch <= 32")
     guide = load_image(args.guide)
     mask = load_mask(args.mask)
     clean = None
@@ -131,10 +136,6 @@ def cmd_denoise(args) -> int:
         clean = load_image(args.clean)
         noisy = pipeline.add_gaussian_noise(
             clean, pipeline.NoiseSpec(sigma=args.sigma, seed=args.seed))
-    spec = _filter_spec(args)
-    weights = WeightParams(sigma_r=args.sigma_r)
-    if args.check_oracle and args.patch > _SPECTRAL_PATCH_CAP:
-        raise ValueError("--check-oracle requires --patch <= 32")
     if spec.kind is FilterKind.K_CG:
         print("warning: the 'cg' variant (x0 = f = b) amplifies the image "
               "mean on typical inputs; 'cg0' is the stable choice",
@@ -203,6 +204,8 @@ def cmd_spectral_response(args) -> int:
     if not (1 <= args.size <= _SPECTRAL_PATCH_CAP):
         raise ValueError(
             f"spectral-response patch size must be in [1, {_SPECTRAL_PATCH_CAP}]")
+    spec = _filter_spec(args)
+    weights = WeightParams(sigma_r=args.sigma_r)
     guide = load_image(args.guide)
     signal = load_image(args.input)
     if args.mask is not None:
@@ -213,8 +216,7 @@ def cmd_spectral_response(args) -> int:
     if x0 < 0 or y0 < 0 or x0 + size > guide.width or y0 + size > guide.height:
         raise ValueError("patch window falls outside the guide image")
     patch = (x0, y0, size, size)
-    L = pipeline.patch_operator(guide, mask, patch, WeightParams(sigma_r=args.sigma_r))
-    spec = _filter_spec(args)
+    L = pipeline.patch_operator(guide, mask, patch, weights)
     b = normalize_signal(L, pipeline.extract_patch(signal, patch).samples)
     response = measure_response(partial(FILTERS[spec.kind].fast, spec, L),
                                 dense_eig(L), b)

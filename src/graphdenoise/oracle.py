@@ -113,11 +113,9 @@ def gbjbf_exact(L: NormalizedLaplacian, rho: float, b: np.ndarray) -> np.ndarray
 
     def solve(x, live):
         # CG on the live segments, then the misses (a NaN residual is one)
-        if live.any():
-            x, rr, live, _, _ = conjugate_gradients(L, op, x, b - op(x), live, 1000,
-                                                    tol=tol)
-            if not np.all(np.sqrt(rr[live]) <= tol[live]):
-                raise NumericError("regularized solve stalled above relative residual 1e-12")
+        x, rr, live, _, _ = conjugate_gradients(L, op, x, b - op(x), live, 1000, tol=tol)
+        if not np.all(np.sqrt(rr[live]) <= tol[live]):
+            raise NumericError("regularized solve stalled above relative residual 1e-12")
         return x, nonzero & ~(L.norm(b - op(x)) <= tol)
 
     x, miss = solve(np.where(L.expand(nonzero), 0.0, b), nonzero)

@@ -307,13 +307,16 @@ class TestCli:
 
     @pytest.mark.parametrize("k", ["257", "10000"])
     def test_k_above_the_cap_is_usage_error(self, tmp_path, k):
-        scene_dir = self._synth(tmp_path, size=64)
-        warp_dir = self._warp(tmp_path, scene_dir)
+        # rejected before any input is read: the inputs do not exist
+        missing = str(tmp_path / "missing.pgm")
         out = tmp_path / "run"
-        rc = main(["denoise", "--clean", str(scene_dir / "right.pgm"),
-                   "--guide", str(warp_dir / "guide.pgm"),
-                   "--mask", str(warp_dir / "mask.pbm"),
+        rc = main(["denoise", "--clean", missing, "--guide", missing,
+                   "--mask", str(tmp_path / "missing.pbm"),
                    "--filter", "poly", "--k", k, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        rc = main(["spectral-response", "--guide", missing, "--input", missing,
+                   "--filter", "cg0", "--k", k, "--out", str(out / "r.csv")])
         assert rc == 2
         assert not out.exists()
 
