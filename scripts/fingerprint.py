@@ -9,6 +9,10 @@ One ``name sha256`` line per output, in a fixed order:
 * ``ragged``: all six filters on seeded random images with holes whose
   tilings end in ragged patches, at sigma_r 10 and 3, plus the per-segment
   ``CGInfo`` of ``cg`` and ``cg0`` on their block operators;
+* ``warp``: guide, mask and phase counts of ``warp_guide`` on the
+  benchmark's generated ramp inputs for seeds 101 and 102 (float sources,
+  all four quarter-pel phases) and on the bundled 256x256 scene in both
+  directions;
 * ``cli``: every file the CLI writes for the bundled 128x128 scene
   (``synth``, ``warp``, ``denoise --patch 32 --check-oracle`` and
   ``--patch 64`` for every filter, ``spectral-response`` for every filter)
@@ -89,6 +93,25 @@ def section_ragged() -> None:
                      info.iterations.tobytes() + info.breakdown.tobytes())
 
 
+def section_warp() -> None:
+    import workloads
+
+    from graphdenoise import WarpParams, synth_scene, warp_guide
+
+    cases = []
+    for seed in SEEDS:
+        left, _right, depth, _noise_seed = workloads.ramp_inputs(seed)
+        cases.append((f"ramp/seed{seed}", left, depth, "left_to_right"))
+    scene = synth_scene(size=256)
+    for direction in ("left_to_right", "right_to_left"):
+        cases.append((f"scene256/{direction}", scene.left, scene.depth, direction))
+    for tag, source, depth, direction in cases:
+        r = warp_guide(source, depth, WarpParams(direction))
+        emit(f"warp/{tag}/guide", r.guide.samples.tobytes())
+        emit(f"warp/{tag}/mask", r.mask.flags.tobytes())
+        emit(f"warp/{tag}/phase_counts", r.phase_counts.tobytes())
+
+
 def emit_tree(prefix: str, root: str) -> None:
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
@@ -144,6 +167,7 @@ def main() -> int:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     section_workloads()
     section_ragged()
+    section_warp()
     section_cli(root)
     return 0
 

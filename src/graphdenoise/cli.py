@@ -109,9 +109,12 @@ def cmd_synth(args) -> int:
 def cmd_warp(args) -> int:
     import os
 
+    # usage errors before any I/O
+    if not (math.isfinite(args.scale) and args.scale >= 0):
+        raise ValueError("--scale must be finite and >= 0")
+    params = dibr.WarpParams(direction=args.direction.replace("-", "_"))
     source = load_image(args.source)
     depth = dibr.load_depth(args.depth, args.scale)
-    params = dibr.WarpParams(direction=args.direction.replace("-", "_"))
     result = dibr.warp_guide(source, depth, params)
     os.makedirs(args.out, exist_ok=True)
     save_image(os.path.join(args.out, "guide.pgm"), result.guide)
@@ -125,8 +128,12 @@ def cmd_denoise(args) -> int:
     # usage errors before any I/O
     spec = _filter_spec(args)
     weights = WeightParams(sigma_r=args.sigma_r)
+    if args.patch < pipeline.MIN_PATCH_SIZE:
+        raise ValueError(f"--patch must be >= {pipeline.MIN_PATCH_SIZE}")
     if args.check_oracle and args.patch > _SPECTRAL_PATCH_CAP:
         raise ValueError("--check-oracle requires --patch <= 32")
+    noise = (None if args.clean is None
+             else pipeline.NoiseSpec(sigma=args.sigma, seed=args.seed))
     guide = load_image(args.guide)
     mask = load_mask(args.mask)
     clean = None
@@ -134,8 +141,7 @@ def cmd_denoise(args) -> int:
         noisy = load_image(args.noisy)
     else:
         clean = load_image(args.clean)
-        noisy = pipeline.add_gaussian_noise(
-            clean, pipeline.NoiseSpec(sigma=args.sigma, seed=args.seed))
+        noisy = pipeline.add_gaussian_noise(clean, noise)
     if spec.kind is FilterKind.K_CG:
         print("warning: the 'cg' variant (x0 = f = b) amplifies the image "
               "mean on typical inputs; 'cg0' is the stable choice",

@@ -1,12 +1,16 @@
 """Depth-based view warping with quarter-pel interpolation and hole marking.
 
 The warp is backward and purely horizontal (rectified stereo): every target
-pixel [u, v] samples the source view at u' = u +- scale * disparity[u, v],
+pixel [u, v] samples the source view at u' = u +- disparity[v, u],
 quantized to the quarter-pel grid.  Fractional positions use the standard
 H.265/HEVC 8-tap (half-pel) and 7-tap (quarter-pel) luma kernels.  A target
 pixel becomes a hole when its source position leaves the image or when a
 pixel with sufficiently larger disparity lands on (almost) the same source
 position -- a simple deterministic z-ordering proxy for occlusion.
+
+Pixel j covers pixel i of its row when |u'_j - u'_i| <= 0.75 and
+d_j - d_i > 1, which needs |j - i| <= max d - min d + 0.75; so testing one
+column shift at a time, up to ceil(max d - min d) + 1, is exact.
 
 Hole pixels are excluded from graph construction entirely; after filtering
 they are patched by a 3x3 median over their available non-hole neighbors.
@@ -16,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatchError, FileFormatError
 from .image import HoleMask, ImageGray, _frozen, read_pgm, write_pgm
@@ -81,73 +86,67 @@ class WarpResult:
                            _frozen(np.asarray(self.phase_counts, np.int64)))
 
 
-def interp_subpel(samples: np.ndarray, phase: float) -> float:
+def interp_subpel(samples: np.ndarray, phase: float) -> float | np.ndarray:
     """Interpolate at a quarter-pel phase from 8 consecutive samples.
 
-    samples[3] is the integer-position sample; callers replicate boundary
-    pixels.  Phase 0 returns samples[3] exactly.  No intermediate clipping.
+    samples[..., 3] is the integer-position sample; callers replicate
+    boundary pixels.  Phase 0 returns it exactly.  No intermediate clipping.
+    Windows stacked on the last axis give an array, each value bitwise equal
+    to that window's float (np.vecdot keeps the order of taps @ window).
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape != (8,):
+    if samples.shape[-1:] != (8,):
         raise DimensionMismatchError("interp_subpel needs exactly 8 samples")
     if phase == 0.0:
-        return float(samples[3])
-    if phase == 0.5:
-        return float(HALF_TAPS @ samples) / 64.0
-    if phase == 0.25:
-        return float(QUARTER_TAPS @ samples[0:7]) / 64.0
-    if phase == 0.75:
-        return float(THREE_QUARTER_TAPS @ samples[1:8]) / 64.0
-    raise ValueError(f"phase must be one of {PHASES}, got {phase}")
+        out = samples[..., 3]
+    elif phase == 0.5:
+        out = np.vecdot(samples, HALF_TAPS) / 64.0
+    elif phase == 0.25:
+        out = np.vecdot(samples[..., 0:7], QUARTER_TAPS) / 64.0
+    elif phase == 0.75:
+        out = np.vecdot(samples[..., 1:8], THREE_QUARTER_TAPS) / 64.0
+    else:
+        raise ValueError(f"phase must be one of {PHASES}, got {phase}")
+    return float(out) if out.ndim == 0 else out
 
 
 def _quantize_quarter(u: np.ndarray) -> np.ndarray:
-    """Nearest quarter-pel position in units of 1/4 pel (ties round up)."""
-    return np.floor(4.0 * u + 0.5).astype(np.int64)
+    """Nearest quarter-pel position in units of 1/4 pel (ties round up).
+    Clipping u to [-1, w] (w = u.shape[-1]) keeps every result inside
+    [0, 4(w - 1)] and every one outside it, and keeps the cast defined."""
+    return np.floor(4.0 * np.clip(u, -1.0, u.shape[-1]) + 0.5).astype(np.int64)
 
 
 def warp_guide(source: ImageGray, depth: DepthMap, params: WarpParams) -> WarpResult:
     """Backward-warp the source view to the depth map's perspective."""
     if (source.width, source.height) != (depth.width, depth.height):
         raise DimensionMismatchError("source/depth size mismatch")
-    h, w = source.height, source.width
+    w = source.width
     src = source.to_array()
-    disp = depth.to_array()
+    d = depth.to_array()
     sign = 1.0 if params.direction == "left_to_right" else -1.0
 
-    guide = np.zeros((h, w), dtype=np.float64)
-    hole = np.zeros((h, w), dtype=bool)
+    up = np.arange(w, dtype=np.float64) + sign * d
+    q4 = _quantize_quarter(up)
+    hole = (q4 < 0) | (q4 > 4 * (w - 1))
+    # z-ordering occlusion test on the unquantized positions, one column
+    # shift s = |j - i| at a time (the band is exact: module docstring)
+    span = int(np.ceil(d.max() - d.min())) + 1
+    for s in range(1, min(w - 1, span) + 1):
+        near = np.abs(up[:, s:] - up[:, :-s]) <= OCCLUSION_RADIUS_PX
+        hole[:, :-s] |= near & (d[:, s:] - d[:, :-s] > OCCLUSION_DISPARITY_STEP_PX)
+        hole[:, s:] |= near & (d[:, :-s] - d[:, s:] > OCCLUSION_DISPARITY_STEP_PX)
+
+    # window b of a row is its samples b-3 .. b+4, boundary pixels replicated;
+    # each phase is interpolated at every integer position of the source,
+    # which costs less time and memory than gathering the windows
+    windows = sliding_window_view(np.pad(src, ((0, 0), (3, 4)), mode="edge"), 8, axis=1)
+    guide = np.zeros(src.shape, dtype=np.float64)
     phase_counts = np.zeros(4, dtype=np.int64)
-    u = np.arange(w, dtype=np.float64)
-
-    for row in range(h):
-        d = disp[row]
-        up = u + sign * d
-        q4 = _quantize_quarter(up)
-        oob = (q4 < 0) | (q4 > 4 * (w - 1))
-        # z-ordering occlusion test on the unquantized positions
-        covered = (
-            (np.abs(up[None, :] - up[:, None]) <= OCCLUSION_RADIUS_PX)
-            & (d[None, :] - d[:, None] > OCCLUSION_DISPARITY_STEP_PX)
-        ).any(axis=1)
-        bad = oob | covered
-        hole[row] = bad
-
-        base = q4 // 4
-        ph = q4 % 4
-        vis = ~bad
-        line = src[row]
-        # phase 0 is an exact integer copy
-        sel = vis & (ph == 0)
-        if np.any(sel):
-            guide[row, sel] = line[base[sel]]
-            phase_counts[0] += int(sel.sum())
-        # fractional phases sample through the tap kernels, with boundary
-        # replication for windows that leave the row
-        for col in np.nonzero(vis & (ph != 0))[0]:
-            window = np.clip(np.arange(base[col] - 3, base[col] + 5), 0, w - 1)
-            guide[row, col] = interp_subpel(line[window], PHASES[ph[col]])
-            phase_counts[ph[col]] += 1
+    for p, phase in enumerate(PHASES):
+        rows, cols = np.nonzero(~hole & (q4 % 4 == p))
+        guide[rows, cols] = interp_subpel(windows, phase)[rows, q4[rows, cols] // 4]
+        phase_counts[p] = rows.size
 
     return WarpResult(
         guide=ImageGray.from_array(guide),

@@ -39,6 +39,8 @@ REFERENCE_PSNR_DB = {
 }
 REFERENCE_SEQUENCES = ("Kendo", "Poznan_Street", "Undo_Dancer")
 
+MIN_PATCH_SIZE = 8
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -48,6 +50,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def add_gaussian_noise(img: ImageGray, spec: NoiseSpec) -> ImageGray:
@@ -80,8 +84,8 @@ class PatchGrid:
     patches: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.patch_size < 8:
-            raise ValueError("patch_size must be >= 8")
+        if self.patch_size < MIN_PATCH_SIZE:
+            raise ValueError(f"patch_size must be >= {MIN_PATCH_SIZE}")
         tiles = []
         for y0 in range(0, self.height, self.patch_size):
             for x0 in range(0, self.width, self.patch_size):

@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphdenoise import (DepthMap, DimensionMismatchError, HoleMask,
                           ImageGray, WarpParams, WeightParams, build_graph,
                           interp_subpel, median_fill, warp_guide)
-from graphdenoise.dibr import (HALF_TAPS, QUARTER_TAPS, THREE_QUARTER_TAPS,
-                               load_depth, save_depth)
+from graphdenoise.dibr import (HALF_TAPS, OCCLUSION_DISPARITY_STEP_PX,
+                               OCCLUSION_RADIUS_PX, PHASES, QUARTER_TAPS,
+                               THREE_QUARTER_TAPS, WarpResult, load_depth,
+                               save_depth)
 
 
 class TestInterpKernels:
@@ -37,6 +41,17 @@ class TestInterpKernels:
         s = rng.uniform(0, 255, 8)
         assert interp_subpel(s, 0.25) == float(QUARTER_TAPS @ s[0:7]) / 64.0
         assert interp_subpel(s, 0.75) == float(THREE_QUARTER_TAPS @ s[1:8]) / 64.0
+        # a stack of windows gives, bit for bit, each window's own tap sum
+        windows = rng.uniform(-300, 300, (10_000, 8)) * rng.choice([1e-3, 1, 1e3], (10_000, 1))
+        direct = {0.0: lambda win: win[3],
+                  0.25: lambda win: float(QUARTER_TAPS @ win[0:7]) / 64.0,
+                  0.5: lambda win: float(HALF_TAPS @ win) / 64.0,
+                  0.75: lambda win: float(THREE_QUARTER_TAPS @ win[1:8]) / 64.0}
+        for phase, one in direct.items():
+            batch = interp_subpel(windows, phase)
+            assert batch.shape == (10_000,)
+            assert batch.tobytes() == np.array([one(win) for win in windows]).tobytes()
+            assert isinstance(interp_subpel(windows[0], phase), float)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DimensionMismatchError):
@@ -116,6 +131,58 @@ class TestWarpGuide:
         with pytest.raises(DimensionMismatchError):
             warp_guide(src, DepthMap.from_array(np.zeros((3, 3))), WarpParams())
 
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 64),
+           height=st.integers(1, 5), integer_source=st.booleans(),
+           spread=st.sampled_from(["zero", "small", "wide", "layered"]),
+           direction=st.sampled_from(["left_to_right", "right_to_left"]))
+    # the widest possible cover: pixel 0 covers pixel w - 1, or the reverse
+    @example(seed=0, width=10, height=1, integer_source=False, spread="edge",
+             direction="left_to_right")
+    @example(seed=0, width=10, height=1, integer_source=False, spread="edge",
+             direction="right_to_left")
+    def test_matches_per_row_loop_bitwise(self, seed, width, height, integer_source,
+                                          spread, direction):
+        r = np.random.default_rng(seed)
+        src = r.uniform(0, 255, (height, width))
+        if integer_source:
+            src = np.floor(src)
+        shape = (height, width)
+        if spread == "zero":
+            disp = np.full(shape, r.uniform(0.0, 5.0))
+        elif spread == "layered":
+            # a foreground layer whose disparity step covers background
+            # pixels at a column shift anywhere from 1 to w
+            step = r.uniform(1.0, width + 1.0, (height, 1))
+            disp = np.where(r.random(shape) < 0.3, step, 0.0) + r.uniform(0.0, 2.0)
+        elif spread == "edge":
+            disp = np.zeros(shape)
+            disp[:, 0 if direction == "left_to_right" else -1] = width - 1
+        else:
+            disp = r.uniform(0.0, 3.0 if spread == "small" else 2.5 * width + 10.0, shape)
+        # quarter-pel steps plus offsets that round either way, so every
+        # phase, tie and occlusion edge case comes up
+        disp = np.where(r.random(shape) < 0.5, np.round(4 * disp) / 4, disp)
+        source, depth = ImageGray.from_array(src), DepthMap.from_array(disp)
+        params = WarpParams(direction=direction)
+        _assert_same_warp(warp_guide(source, depth, params),
+                          _warp_guide_loop(source, depth, params))
+
+    @pytest.mark.parametrize("huge", [1e300, np.finfo(np.float64).max])
+    @pytest.mark.parametrize("direction", ["left_to_right", "right_to_left"])
+    def test_huge_disparity_is_a_hole_without_warnings(self, rng, huge, direction):
+        src = ImageGray.from_array(rng.uniform(0, 255, (3, 64)))
+        disp = rng.uniform(0.0, 6.0, (3, 64))
+        disp[1, 20] = huge
+        params = WarpParams(direction=direction)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = warp_guide(src, DepthMap.from_array(disp), params)
+        assert res.mask.to_array()[1, 20]
+        # any disparity that leaves the image far behind gives the same warp
+        disp[1, 20] = 1e6
+        _assert_same_warp(res, _warp_guide_loop(src, DepthMap.from_array(disp), params))
+
     def test_mask_iff_isolated_after_build(self):
         from graphdenoise import synth_scene
 
@@ -124,6 +191,62 @@ class TestWarpGuide:
         g = build_graph(res.guide, res.mask, WeightParams())
         iso = g.degrees == 0
         assert np.array_equal(iso, res.mask.flags)
+
+
+def _assert_same_warp(got: WarpResult, want: WarpResult) -> None:
+    assert got.guide.samples.tobytes() == want.guide.samples.tobytes()
+    assert got.mask.flags.tobytes() == want.mask.flags.tobytes()
+    assert got.phase_counts.tobytes() == want.phase_counts.tobytes()
+
+
+def _warp_guide_loop(source, depth, params) -> WarpResult:
+    """Reference warp: one row at a time, a w x w pairwise occlusion test
+    and one scalar interp_subpel call per fractional pixel.  Quantization
+    is unclipped, so a disparity beyond ~2e18 makes its cast undefined."""
+    h, w = source.height, source.width
+    src = source.to_array()
+    disp = depth.to_array()
+    sign = 1.0 if params.direction == "left_to_right" else -1.0
+
+    guide = np.zeros((h, w), dtype=np.float64)
+    hole = np.zeros((h, w), dtype=bool)
+    phase_counts = np.zeros(4, dtype=np.int64)
+    u = np.arange(w, dtype=np.float64)
+
+    for row in range(h):
+        d = disp[row]
+        up = u + sign * d
+        q4 = np.floor(4.0 * up + 0.5).astype(np.int64)
+        oob = (q4 < 0) | (q4 > 4 * (w - 1))
+        # z-ordering occlusion test on the unquantized positions
+        covered = (
+            (np.abs(up[None, :] - up[:, None]) <= OCCLUSION_RADIUS_PX)
+            & (d[None, :] - d[:, None] > OCCLUSION_DISPARITY_STEP_PX)
+        ).any(axis=1)
+        bad = oob | covered
+        hole[row] = bad
+
+        base = q4 // 4
+        ph = q4 % 4
+        vis = ~bad
+        line = src[row]
+        # phase 0 is an exact integer copy
+        sel = vis & (ph == 0)
+        if np.any(sel):
+            guide[row, sel] = line[base[sel]]
+            phase_counts[0] += int(sel.sum())
+        # fractional phases sample through the tap kernels, with boundary
+        # replication for windows that leave the row
+        for col in np.nonzero(vis & (ph != 0))[0]:
+            window = np.clip(np.arange(base[col] - 3, base[col] + 5), 0, w - 1)
+            guide[row, col] = interp_subpel(line[window], PHASES[ph[col]])
+            phase_counts[ph[col]] += 1
+
+    return WarpResult(
+        guide=ImageGray.from_array(guide),
+        mask=HoleMask.from_array(hole),
+        phase_counts=phase_counts,
+    )
 
 
 class TestMedianFill:

@@ -320,6 +320,24 @@ class TestCli:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("denoise", "--patch", "4"), ("denoise", "--sigma", "-1"),
+        ("denoise", "--sigma", "nan"), ("denoise", "--seed", "-1"),
+        ("warp", "--scale", "-1"), ("warp", "--scale", "nan"),
+        ("warp", "--scale", "inf")])
+    def test_bad_flag_is_usage_error_before_any_input(self, tmp_path, capsys,
+                                                      command, flag, value):
+        missing = str(tmp_path / "missing.pgm")
+        out = tmp_path / "run"
+        if command == "denoise":
+            argv = ["denoise", "--clean", missing, "--guide", missing,
+                    "--mask", str(tmp_path / "missing.pbm"), "--filter", "cheb"]
+        else:
+            argv = ["warp", "--source", missing, "--depth", missing, "--scale", "1"]
+        assert main([*argv, flag, value, "--out", str(out)]) == 2
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("header", [b"P4\n0 5\n", b"P4\n64 0\n"])
     def test_empty_mask_is_format_error(self, tmp_path, header):
         scene_dir = self._synth(tmp_path, size=64)

@@ -44,6 +44,7 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
 
     fingerprint.section_workloads()
     fingerprint.section_ragged()
+    fingerprint.section_warp()
     # every CLI step and the export_responses.py subprocess, for one filter
     monkeypatch.setattr(fingerprint, "KINDS", ("cg0",))
     fingerprint.section_cli(str(root))
@@ -52,11 +53,17 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in lines.values())
     names = list(lines)
     # workloads: 3 workloads x 2 seeds x 6 filters;
-    # ragged: 4 tilings x 2 sigma_r x (6 filters + 2 CGInfo)
+    # ragged: 4 tilings x 2 sigma_r x (6 filters + 2 CGInfo);
+    # warp: (2 ramp seeds + 2 scene directions) x (guide, mask, phase counts)
     assert sum(n.startswith("workloads/") for n in names) == 3 * 2 * 6
     assert {n.split("/")[1] for n in names if n.startswith("workloads/")} == \
         {"cli_chain", "filter_sweep", "ramp_disparity"}
     assert sum(n.startswith("ragged/") for n in names) == 4 * 2 * 8
+    assert [n for n in names if n.startswith("warp/")] == [
+        f"warp/{case}/{out}"
+        for case in ("ramp/seed101", "ramp/seed102", "scene256/left_to_right",
+                     "scene256/right_to_left")
+        for out in ("guide", "mask", "phase_counts")]
     exits = [n for n in names if n.startswith("cli/exit/")]
     assert exits == ["cli/exit/synth", "cli/exit/warp", "cli/exit/denoise/cg0-p32",
                      "cli/exit/denoise/cg0-p64", "cli/exit/spectral/cg0",
