@@ -9,6 +9,8 @@ One ``name sha256`` line per output, in a fixed order:
 * ``ragged``: all six filters on seeded random images with holes whose
   tilings end in ragged patches, at sigma_r 10 and 3, plus the per-segment
   ``CGInfo`` of ``cg`` and ``cg0`` on their block operators;
+* ``scene``: the float64 left, right and depth samples of ``synth_scene``
+  for a few (size, seed) pairs, which 8-bit PGMs would round away;
 * ``warp``: guide, mask and phase counts of ``warp_guide`` on the
   benchmark's generated ramp inputs for seeds 101 and 102 (float sources,
   all four quarter-pel phases) and on the bundled 256x256 scene in both
@@ -42,6 +44,8 @@ KINDS = ("jbf", "gbjbf", "poly", "cheb", "cg", "cg0")
 SEEDS = (101, 102)
 # (width, height, patch): every tiling ends in ragged patches
 RAGGED = ((100, 150, 64), (33, 97, 16), (65, 9, 8), (130, 75, 48))
+# (size, seed) of the bundled scenes: odd, ragged and large sizes
+SCENES = ((64, 2014), (100, 3), (257, 11), (1000, 2014))
 
 
 def emit(name: str, data: bytes) -> None:
@@ -91,6 +95,17 @@ def section_ragged() -> None:
                 _, info = cg_filter(L, b, 3, variant, return_info=True)
                 emit(f"{tag}/{variant}.info",
                      info.iterations.tobytes() + info.breakdown.tobytes())
+
+
+def section_scene() -> None:
+    from graphdenoise import synth_scene
+
+    for size, seed in SCENES:
+        sc = synth_scene(size, seed)
+        tag = f"scene/{size}s{seed}"
+        emit(f"{tag}/left", sc.left.samples.tobytes())
+        emit(f"{tag}/right", sc.right.samples.tobytes())
+        emit(f"{tag}/depth", sc.depth.values.tobytes())
 
 
 def section_warp() -> None:
@@ -167,6 +182,7 @@ def main() -> int:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     section_workloads()
     section_ragged()
+    section_scene()
     section_warp()
     section_cli(root)
     return 0

@@ -112,6 +112,8 @@ def cmd_warp(args) -> int:
     # usage errors before any I/O
     if not (math.isfinite(args.scale) and args.scale >= 0):
         raise ValueError("--scale must be finite and >= 0")
+    if not math.isfinite(65535 * args.scale):
+        raise ValueError("--scale times the largest PGM sample, 65535, must be finite")
     params = dibr.WarpParams(direction=args.direction.replace("-", "_"))
     source = load_image(args.source)
     depth = dibr.load_depth(args.depth, args.scale)

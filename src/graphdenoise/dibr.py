@@ -197,4 +197,7 @@ def save_depth(path, depth: DepthMap, disparity_scale: float) -> None:
 def load_depth(path, disparity_scale: float) -> DepthMap:
     """Read a 16-bit (or 8-bit) PGM and map stored integers to disparity."""
     arr, _maxval = read_pgm(path)
-    return DepthMap.from_array(arr.astype(np.float64) * disparity_scale)
+    # an overflowing product is left to DepthMap's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = arr.astype(np.float64) * disparity_scale
+    return DepthMap.from_array(values)

@@ -7,6 +7,14 @@ view.  Textures are seeded mixtures of plane waves, so both views are
 evaluated analytically at fractional coordinates and the half-pel
 foreground disparity genuinely exercises sub-pel interpolation.
 
+Each kept texture sample is computed once.  The background disparity is a
+whole number of pixels, so both views' backgrounds are cut from one
+evaluation over ``size + 4`` columns; the foreground texture is evaluated
+only on its rectangle in each view.  This gives the same bits as
+evaluating both textures everywhere and picking per pixel, on the
+assumption that numpy's ``cos`` returns the same bits for an element
+wherever it sits in an array (``tests/test_scene_cli.py`` pins it).
+
 Stands in for non-redistributable multiview test footage in experiments
 and acceptance runs.
 """
@@ -22,6 +30,12 @@ from .image import ImageGray, atomic_write_bytes
 
 BACKGROUND_DISPARITY_PX = 4.0
 FOREGROUND_DISPARITY_PX = 10.5
+
+# synth_scene cuts both views' backgrounds from one evaluation shifted by
+# whole columns; a fractional background disparity would need two.
+_BG_SHIFT = int(BACKGROUND_DISPARITY_PX)
+if _BG_SHIFT != BACKGROUND_DISPARITY_PX:
+    raise ValueError("BACKGROUND_DISPARITY_PX must be a whole number of pixels")
 
 # depth.pgm stores disparity / DEPTH_SCALE as 16-bit integers; 1/64 px
 # represents both scene disparities exactly.
@@ -71,8 +85,21 @@ def foreground_rect(size: int) -> tuple[int, int, int, int]:
 
 
 def synth_scene(size: int = 256, seed: int = DEFAULT_SEED) -> StereoScene:
+    """Render the bundled stereo pair; each kept texture sample is computed once.
+
+    The background texture is evaluated once over columns -4 .. size-1 (4 px
+    is the whole-pixel background disparity): the right view takes its last
+    ``size`` columns and the left view its first ``size``.  The foreground
+    texture is evaluated only on its rectangle in the right view and on the
+    left view's columns with ``x0 <= u - 10.5 < x1``, and written over the
+    background there.  The result is byte-equal to evaluating both textures
+    on the whole grid and picking per pixel, as long as numpy's ``cos``
+    returns the same bits for an element wherever it sits in an array.
+    """
     if not 64 <= size <= MAX_SIZE:
         raise ValueError(f"scene size must be in [64, {MAX_SIZE}]")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(np.random.PCG64(seed))
     f_bg = _plane_wave_texture(rng, base=150.0)
     f_fg = _plane_wave_texture(rng, base=95.0)
@@ -80,15 +107,20 @@ def synth_scene(size: int = 256, seed: int = DEFAULT_SEED) -> StereoScene:
 
     u = np.arange(size, dtype=np.float64)[None, :]
     v = np.arange(size, dtype=np.float64)[:, None]
-    in_fg = (u >= x0) & (u < x1) & (v >= y0) & (v < y1)
-    right = np.where(in_fg, f_fg(u, v), f_bg(u, v))
-    disp = np.where(in_fg, FOREGROUND_DISPARITY_PX, BACKGROUND_DISPARITY_PX)
+    # bg column j is background column j - shift; left column u shows the
+    # background at u - shift, so left is bg's first size columns
+    bg = f_bg(np.arange(-_BG_SHIFT, size, dtype=np.float64)[None, :], v)
+    right = bg[:, _BG_SHIFT:].copy()
+    left = bg[:, :size].copy()
+    right[y0:y1, x0:x1] = f_fg(u[:, x0:x1], v[y0:y1])
+    disp = np.full((size, size), BACKGROUND_DISPARITY_PX)
+    disp[y0:y1, x0:x1] = FOREGROUND_DISPARITY_PX
 
     # In the left view the foreground sits FOREGROUND_DISPARITY_PX to the
     # right and hides the background behind it.
     uf = u - FOREGROUND_DISPARITY_PX
-    in_left_fg = (uf >= x0) & (uf < x1) & (v >= y0) & (v < y1)
-    left = np.where(in_left_fg, f_fg(uf, v), f_bg(u - BACKGROUND_DISPARITY_PX, v))
+    cols = ((uf >= x0) & (uf < x1))[0]
+    left[y0:y1, cols] = f_fg(uf[:, cols], v[y0:y1])
 
     meta = {
         "seed": int(seed),

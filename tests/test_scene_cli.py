@@ -1,17 +1,79 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from graphdenoise import (FilterKind, WarpParams, pipeline, scene, synth_scene,
                           warp_guide)
 from graphdenoise.cli import main
+from graphdenoise.dibr import DepthMap, load_depth
 from graphdenoise.filters import FILTERS, FilterDef
-from graphdenoise.image import load_image, load_mask, read_pgm, write_pgm
-from graphdenoise.scene import DEPTH_SCALE, foreground_rect
+from graphdenoise.image import ImageGray, load_image, load_mask, read_pgm, write_pgm
+from graphdenoise.scene import (BACKGROUND_DISPARITY_PX, DEPTH_SCALE, DEFAULT_SEED,
+                                FOREGROUND_DISPARITY_PX, MAX_SIZE, StereoScene,
+                                _plane_wave_texture, foreground_rect)
+
+
+def _synth_scene_where(size: int = 256, seed: int = DEFAULT_SEED) -> StereoScene:
+    """Reference: both textures on the whole grid, picked per pixel by np.where.
+
+    The previous ``synth_scene``, kept verbatim so the once-per-sample
+    rewrite stays pinned to it.
+    """
+    if not 64 <= size <= MAX_SIZE:
+        raise ValueError(f"scene size must be in [64, {MAX_SIZE}]")
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    f_bg = _plane_wave_texture(rng, base=150.0)
+    f_fg = _plane_wave_texture(rng, base=95.0)
+    x0, y0, x1, y1 = foreground_rect(size)
+
+    u = np.arange(size, dtype=np.float64)[None, :]
+    v = np.arange(size, dtype=np.float64)[:, None]
+    in_fg = (u >= x0) & (u < x1) & (v >= y0) & (v < y1)
+    right = np.where(in_fg, f_fg(u, v), f_bg(u, v))
+    disp = np.where(in_fg, FOREGROUND_DISPARITY_PX, BACKGROUND_DISPARITY_PX)
+
+    # In the left view the foreground sits FOREGROUND_DISPARITY_PX to the
+    # right and hides the background behind it.
+    uf = u - FOREGROUND_DISPARITY_PX
+    in_left_fg = (uf >= x0) & (uf < x1) & (v >= y0) & (v < y1)
+    left = np.where(in_left_fg, f_fg(uf, v), f_bg(u - BACKGROUND_DISPARITY_PX, v))
+
+    meta = {
+        "seed": int(seed),
+        "size": int(size),
+        "disparity_scale": DEPTH_SCALE,
+        "background_disparity_px": BACKGROUND_DISPARITY_PX,
+        "foreground_disparity_px": FOREGROUND_DISPARITY_PX,
+        "foreground_rect_x0y0x1y1": [x0, y0, x1, y1],
+        "warp_direction": "left_to_right",
+    }
+    return StereoScene(
+        left=ImageGray.from_array(left),
+        right=ImageGray.from_array(right),
+        depth=DepthMap.from_array(disp),
+        meta=meta,
+    )
 
 
 class TestScene:
+    @given(size=st.integers(64, 300), seed=st.integers(0, 2**32 - 1))
+    @example(size=1000, seed=DEFAULT_SEED)
+    @example(size=1024, seed=DEFAULT_SEED)
+    def test_matches_whole_grid_reference_bitwise(self, size, seed):
+        got, ref = synth_scene(size, seed), _synth_scene_where(size, seed)
+        assert got.left.samples.tobytes() == ref.left.samples.tobytes()
+        assert got.right.samples.tobytes() == ref.right.samples.tobytes()
+        assert got.depth.values.tobytes() == ref.depth.values.tobytes()
+        assert got.meta == ref.meta
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            synth_scene(size=64, seed=-1)
+
     def test_deterministic_per_seed(self):
         a = synth_scene(size=128, seed=4)
         b = synth_scene(size=128, seed=4)
@@ -304,6 +366,39 @@ class TestCli:
         assert main(["synth", "--out", str(out), "--size", str(scene.MAX_SIZE + 1)]) == 2
         assert "scene size must be in [64, 4096]" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "scene"
+        assert main(["synth", "--out", str(out), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("inputs", ["missing", "present"])
+    def test_overflowing_scale_is_usage_error_before_any_input(self, tmp_path, capsys,
+                                                               inputs):
+        if inputs == "present":
+            scene_dir = self._synth(tmp_path, size=64)
+            source, depth = scene_dir / "left.pgm", scene_dir / "depth.pgm"
+        else:
+            source = depth = tmp_path / "missing.pgm"
+        out = tmp_path / "warp"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["warp", "--source", str(source), "--depth", str(depth),
+                       "--scale", "1e307", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "scale" in err and "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e307, float("inf")])
+    def test_load_depth_overflow_is_value_error_without_warnings(self, tmp_path, scale):
+        p = tmp_path / "depth.pgm"
+        write_pgm(p, np.array([[0, 1], [65534, 65535]]), maxval=65535)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                load_depth(p, scale)
 
     @pytest.mark.parametrize("k", ["257", "10000"])
     def test_k_above_the_cap_is_usage_error(self, tmp_path, k):
