@@ -247,7 +247,7 @@ def cg_filter(L: NormalizedLaplacian, b: np.ndarray, k: int, variant: str = "cg"
     r = f - L.apply(b)
     live = ~(L.norm(r) <= 1e-14 * L.norm(b))
     x, _, _, done, breakdown = conjugate_gradients(
-        L, L.apply, b.copy(), r, live, k, breakdown_rtol=CG_BREAKDOWN_RTOL)
+        L, L.apply, b, r, live, k, breakdown_rtol=CG_BREAKDOWN_RTOL)
     info = CGInfo(iterations=done, breakdown=breakdown)
     return (x, info) if return_info else x
 

@@ -18,11 +18,11 @@ filter with unit response at eigenvalue 0 passes hole pixels through.
 ``NormalizedLaplacian`` carries the degrees D with L, so it is the one
 object a filter needs: L for the products, D for the D^{+-1/2} round
 trip.  An operator may be block diagonal over several disjoint graphs, its
-*segments* (the image pipeline filters every patch at once this way).
-Inner products then come one per segment, so input-adaptive filters keep
-one step size per graph; an operator built from one ``PixelGraph`` has a
-single segment.  ``conjugate_gradients`` is the one per-segment CG loop,
-shared by the CG filters and the regularized (gbjbf) solve.
+*segments*, the rows of a (segments, slab) view: the image pipeline
+filters every patch at once this way, and a ``PixelGraph`` gives one row.
+Inner products come one per row (one ``vecdot``, ragged rows gathered),
+so the one per-segment CG loop, ``conjugate_gradients``, shared by the CG
+filters and the gbjbf solve, keeps one step size per graph, broadcast.
 """
 from __future__ import annotations
 
@@ -155,9 +155,9 @@ class NormalizedLaplacian:
     [0, 2] and makes sqrt(degrees) a null vector.
 
     ``segments`` splits the node order into len(segments) equal contiguous
-    slabs with no edges between them; entry i selects, from slab i, the
-    nodes of its graph in that graph's own node order (a slab may also
-    carry padding nodes outside every graph).
+    slabs, the rows of ``rows(x)``, with no edges between them; entry i is
+    ``slice(None)`` if slab i is one whole graph in its own node order, else
+    the index array of that graph's nodes (the rest are padding).
     """
 
     matrix: sp.spmatrix
@@ -181,28 +181,24 @@ class NormalizedLaplacian:
             )
         return self.matrix.toarray()
 
-    def slab(self, i: int) -> slice:
-        """The node range of segment i's slab."""
-        m = self.n // len(self.segments)
-        return slice(i * m, (i + 1) * m)
-
-    def parts(self, x: np.ndarray) -> list[np.ndarray]:
-        """Per segment, x on its graph's nodes in that graph's order."""
-        return [x[self.slab(i)][s] for i, s in enumerate(self.segments)]
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """x as a (segments, slab) view: row i is segment i's slab."""
+        return x.reshape(len(self.segments), -1)
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Inner product per segment.  Each is one dot over the segment's
-        nodes in its graph's order, so it equals, bit for bit, the inner
-        product on that graph's own operator."""
-        return np.array([a @ b for a, b in zip(self.parts(x), self.parts(y))])
+        """Inner product per segment: one ``vecdot`` over the rows, ragged
+        rows redone on their graph's nodes, so each equals, bit for bit,
+        the inner product on that graph's own operator."""
+        xs, ys = self.rows(x), self.rows(y)
+        d = np.vecdot(xs, ys)
+        for i, s in enumerate(self.segments):
+            if isinstance(s, np.ndarray):
+                d[i] = xs[i][s] @ ys[i][s]
+        return d
 
     def norm(self, x: np.ndarray) -> np.ndarray:
         """Euclidean norm per segment (as ``np.linalg.norm`` computes it)."""
         return np.sqrt(self.dot(x, x))
-
-    def expand(self, v: np.ndarray) -> np.ndarray:
-        """One value per segment -> one value per node."""
-        return np.repeat(v, self.n // len(self.segments))
 
 
 def conjugate_gradients(L: NormalizedLaplacian, op, x: np.ndarray, r: np.ndarray,
@@ -217,7 +213,9 @@ def conjugate_gradients(L: NormalizedLaplacian, op, x: np.ndarray, r: np.ndarray
     stops at residual norm <= tol, checked before every step, and raises
     ``NumericError`` on a non-finite one; ``breakdown_rtol`` stops without
     stepping at curvature p^T op(p) <= breakdown_rtol |p|^2 (a nullspace
-    direction, never divided by).
+    direction, never divided by).  x, r and p are stepped in place in the
+    loop's own (segments, slab) copies: it writes no array of the caller's
+    nor any op returns, and op must neither write nor return its argument.
 
     Returns (x, rr, live, iterations, breakdown), the last four per
     segment: squared residual norm, still live, steps taken, broke down.
@@ -226,10 +224,11 @@ def conjugate_gradients(L: NormalizedLaplacian, op, x: np.ndarray, r: np.ndarray
     iterations = np.zeros(live.shape, np.int64)
     breakdown = np.zeros(live.shape, bool)
 
-    def ratio(num, den):   # per node: its segment's num / den if live, else 0
-        return L.expand(np.divide(num, den, out=np.zeros_like(num), where=live))
+    def ratio(num, den):   # per row: its segment's num / den if live, else 0
+        return np.divide(num, den, out=np.zeros_like(num), where=live)[:, None]
 
-    p = r
+    x, r = np.array(L.rows(x), np.float64), np.array(L.rows(r), np.float64)
+    p, tmp = r.copy(), np.empty_like(r)
     rr = L.dot(r, r)
     for _ in range(steps):
         if tol is not None:
@@ -238,20 +237,20 @@ def conjugate_gradients(L: NormalizedLaplacian, op, x: np.ndarray, r: np.ndarray
             live &= ~(np.sqrt(rr) <= tol)
         if not live.any():
             break
-        ap = op(p)
+        ap = L.rows(op(p.reshape(-1)))
         curv = L.dot(p, ap)
         if breakdown_rtol is not None:
             broke = live & (curv <= breakdown_rtol * L.dot(p, p))
             breakdown |= broke
             live &= ~broke
         alpha = ratio(rr, curv)
-        x = x + alpha * p if live.all() else np.where(L.expand(live), x + alpha * p, x)
-        r = r - alpha * ap
+        np.add(x, np.multiply(alpha, p, out=tmp), out=x, where=live[:, None])
+        np.subtract(r, np.multiply(alpha, ap, out=tmp), out=r)
         rr_new = L.dot(r, r)
-        p = r + ratio(rr_new, rr) * p
+        np.add(r, np.multiply(ratio(rr_new, rr), p, out=p), out=p)
         rr = rr_new
         iterations += live
-    return x, rr, live, iterations, breakdown
+    return x.reshape(-1), rr, live, iterations, breakdown
 
 
 def normalized_laplacian(g: PixelGraph) -> NormalizedLaplacian:

@@ -100,16 +100,17 @@ def gbjbf_exact(L: NormalizedLaplacian, rho: float, b: np.ndarray) -> np.ndarray
     if rho == 0 or not np.any(b):
         return b.copy()
 
-    def op(v):
-        return v + rho * L.apply(L.apply(v))
+    def op(v):     # v + rho L(Lv), built in the array L.apply returns
+        lv = L.apply(L.apply(v))
+        return np.add(np.multiply(lv, rho, out=lv), v, out=lv)
 
     with np.errstate(over="ignore", invalid="ignore"):
         bnorm = L.norm(b)
     if not np.all(np.isfinite(bnorm)):
         raise NumericError("regularized solve: the right-hand side norm is not finite")
     tol = 1e-12 * bnorm
-    # an all-zero segment is its own solution
-    nonzero = np.array([np.any(bi) for bi in L.parts(b)])
+    # an all-zero segment is its own solution (a boolean dot is "any")
+    nonzero = L.dot(b != 0, b != 0)
 
     def solve(x, live):
         # CG on the live segments, then the misses (a NaN residual is one)
@@ -118,7 +119,7 @@ def gbjbf_exact(L: NormalizedLaplacian, rho: float, b: np.ndarray) -> np.ndarray
             raise NumericError("regularized solve stalled above relative residual 1e-12")
         return x, nonzero & ~(L.norm(b - op(x)) <= tol)
 
-    x, miss = solve(np.where(L.expand(nonzero), 0.0, b), nonzero)
+    x, miss = solve(np.where(nonzero[:, None], 0.0, L.rows(b)).reshape(-1), nonzero)
     if miss.any():
         x, miss = solve(x, miss)
         if miss.any():

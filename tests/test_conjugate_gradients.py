@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphdenoise import (HoleMask, ImageGray, NumericError, WeightParams,
-                          gbjbf_exact, oracle)
+                          filters, gbjbf_exact, oracle)
 from graphdenoise.errors import DimensionMismatchError
 from graphdenoise.filters import CG_BREAKDOWN_RTOL, CGInfo, cg_filter
 from graphdenoise.pipeline import block_operator, split_patches
@@ -18,13 +18,27 @@ from graphdenoise.pipeline import block_operator, split_patches
 
 class _StepHelpers:
     """An operator plus the per-segment step helpers the reference loops
-    call (formerly ``NormalizedLaplacian.ratio`` and ``.where``)."""
+    call (formerly ``NormalizedLaplacian.ratio``, ``.where``, ``.slab``,
+    ``.parts`` and ``.expand``)."""
 
     def __init__(self, L):
         self._L = L
 
     def __getattr__(self, name):
         return getattr(self._L, name)
+
+    def slab(self, i: int) -> slice:
+        """The node range of segment i's slab."""
+        m = self.n // len(self.segments)
+        return slice(i * m, (i + 1) * m)
+
+    def parts(self, x: np.ndarray) -> list[np.ndarray]:
+        """Per segment, x on its graph's nodes in that graph's order."""
+        return [x[self.slab(i)][s] for i, s in enumerate(self.segments)]
+
+    def expand(self, v: np.ndarray) -> np.ndarray:
+        """One value per segment -> one value per node."""
+        return np.repeat(v, self.n // len(self.segments))
 
     def ratio(self, num: np.ndarray, den: np.ndarray, live: np.ndarray) -> np.ndarray:
         """Per node, num / den of its segment if that segment is live, else
@@ -158,17 +172,19 @@ def test_merged_loop_matches_the_replaced_loops_bitwise(seed, width, height, pat
         x0, y0, w, h = grid.patches[rng.integers(len(grid.patches))]
         holes[y0:y0 + h, x0:x0 + w] = True
     L = block_operator(guide, HoleMask.from_array(holes), grid, WeightParams(sigma_r))
-    # segments cycle through random, all-zero and null-vector signals; the
-    # null vector is -0.0 on holes, where a stopped segment that were still
-    # stepped would turn into +0.0
+    # segments cycle through random, all-zero, null-vector and zero-graph
+    # signals; the null vector is -0.0 on holes, where a stopped segment
+    # that were still stepped would turn into +0.0, and a zero-graph signal
+    # is zero on the segment's graph but not on an edge tile's padding
     b = rng.normal(0, 10, L.n)
-    for i in range(len(L.segments)):
-        kind = (i + seed) % 3
-        s = L.slab(i)
+    for i, (bi, d, s) in enumerate(zip(L.rows(b), L.rows(L.degrees), L.segments)):
+        kind = (i + seed) % 4
         if kind == 1:
-            b[s] = 0.0
+            bi[:] = 0.0
         elif kind == 2:
-            b[s] = np.where(L.degrees[s] > 0, np.sqrt(L.degrees[s]), -0.0)
+            bi[:] = np.where(d > 0, np.sqrt(d), -0.0)
+        elif kind == 3:
+            bi[s] = 0.0
     for variant in ("cg", "cg0"):
         new, ref = counting(L), counting(L)
         x, info = cg_filter(new, b, k, variant, return_info=True)
@@ -202,13 +218,13 @@ def test_gbjbf_retry_solves_only_the_segment_that_missed(monkeypatch):
         x, *rest = solve(L_, op, x, r, live, steps, **kw)
         if len(lives) == 1:
             x = x.copy()
-            x[L.slab(0)] += 1.0     # segment 0 now misses the contract
+            L.rows(x)[0] += 1.0     # segment 0 now misses the contract
         return (x, *rest)
 
     monkeypatch.setattr(oracle, "conjugate_gradients", perturb_first_solve)
     x = gbjbf_exact(L, 2.0, b)
     assert lives == [[True, True], [True, False]]
-    assert x[L.slab(1)].tobytes() == unperturbed[L.slab(1)].tobytes()
+    assert L.rows(x)[1].tobytes() == L.rows(unperturbed)[1].tobytes()
     resid = b - (x + 2.0 * L.apply(L.apply(x)))
     assert np.all(L.norm(resid) <= 1e-12 * L.norm(b))
 
@@ -223,3 +239,38 @@ def test_gbjbf_stall_raises(monkeypatch):
     monkeypatch.setattr(oracle, "conjugate_gradients", two_steps)
     with pytest.raises(NumericError, match="stalled"):
         gbjbf_exact(L, 2.0, b)
+
+
+@pytest.mark.parametrize("kind", ["cg", "cg0", "gbjbf"])
+def test_loop_writes_none_of_the_callers_arrays(monkeypatch, kind):
+    # ragged tiles, an all-zero segment and several steps; every array the
+    # caller hands in and every array op returns must come back unchanged
+    rng = np.random.default_rng(11)
+    guide = ImageGray.from_array(rng.uniform(0, 255, (40, 56)))
+    L = block_operator(guide, HoleMask.from_array(rng.random((40, 56)) < 0.1),
+                       split_patches(guide, 32), WeightParams())
+    b = rng.normal(0, 10, L.n)
+    L.rows(b)[1] = 0.0
+    b_before = b.copy()
+    module = oracle if kind == "gbjbf" else filters
+    solve = module.conjugate_gradients
+    kept = []
+
+    def keeping(L_, op, x, r, live, steps, **kw):
+        def op_keeping(v):
+            out = op(v)
+            kept.append((out, out.copy()))
+            return out
+        inputs = [(a, a.copy()) for a in (x, r, live)]
+        result = solve(L_, op_keeping, x, r, live, steps, **kw)
+        for a, before in inputs + kept:
+            assert a.tobytes() == before.tobytes()
+        return result
+
+    monkeypatch.setattr(module, "conjugate_gradients", keeping)
+    if kind == "gbjbf":
+        gbjbf_exact(L, 2.0, b)
+    else:
+        cg_filter(L, b, 8, kind)
+    assert len(kept) >= 8
+    assert b.tobytes() == b_before.tobytes()

@@ -302,14 +302,14 @@ class TestCgFilter:
         grid = split_patches(guide, 16)
         L = block_operator(guide, mask, grid, WeightParams())
         b = rng.normal(0, 1, L.n)
-        b[L.slab(0)] = 0.0
-        d = L.degrees[L.slab(1)]
-        b[L.slab(1)] = np.where(d > 0, np.sqrt(d), -0.0)
+        L.rows(b)[0] = 0.0
+        d = L.rows(L.degrees)[1]
+        L.rows(b)[1] = np.where(d > 0, np.sqrt(d), -0.0)
         x, info = cg_filter(L, b, 3, variant, return_info=True)
-        for i, p in enumerate(grid.patches):
+        for i, (p, s) in enumerate(zip(grid.patches, L.segments)):
             Lp = patch_operator(guide, mask, p, WeightParams())
-            xp, ip = cg_filter(Lp, L.parts(b)[i], 3, variant, return_info=True)
-            assert L.parts(x)[i].tobytes() == xp.tobytes()
+            xp, ip = cg_filter(Lp, L.rows(b)[i][s], 3, variant, return_info=True)
+            assert L.rows(x)[i][s].tobytes() == xp.tobytes()
             assert (info.iterations[i], info.breakdown[i]) == (ip.iterations[0],
                                                                ip.breakdown[0])
         cg = variant == "cg"

@@ -10,7 +10,8 @@ import pytest
 from graphdenoise import (DimensionMismatchError, FilterKind, FilterSpec,
                           HoleMask, ImageGray, NoiseSpec, WeightParams,
                           add_gaussian_noise, apply_filter, build_graph,
-                          denoise, median_fill, pipeline, psnr, split_patches)
+                          denoise, median_fill, normalized_laplacian, pipeline,
+                          psnr, split_patches)
 from graphdenoise.pipeline import (PatchGrid, block_operator, extract_patch,
                                    patch_operator)
 
@@ -143,22 +144,54 @@ class TestDenoise:
         x = rng.normal(0, 1, L.n)      # padding and other patches carry data too
         lx = L.apply(x)
         dots = L.dot(x, lx)
-        degrees, xs, lxs = L.parts(L.degrees), L.parts(x), L.parts(lx)
         csr = L.matrix.tocsr()
-        for i, p in enumerate(grid.patches):
+        m = L.n // len(L.segments)
+        degrees = []
+        for i, (p, s) in enumerate(zip(grid.patches, L.segments)):
             Lp = patch_operator(guide, mask, p, WeightParams())   # via build_graph
             assert Lp.n == Lp.matrix.shape[0] == Lp.degrees.size
+            degrees.append(L.rows(L.degrees)[i][s])
+            xi, lxi = L.rows(x)[i][s], L.rows(lx)[i][s]
             assert degrees[i].tobytes() == Lp.degrees.tobytes()
-            assert lxs[i].tobytes() == Lp.apply(xs[i]).tobytes()
-            assert dots[i] == xs[i] @ lxs[i]
-            slab = L.slab(i)
-            idx = np.arange(slab.stop - slab.start)[L.segments[i]]
-            block = csr[slab, slab][idx][:, idx]
+            assert lxi.tobytes() == Lp.apply(xi).tobytes()
+            assert dots[i] == xi @ lxi
+            idx = i * m + np.arange(m)[s]
+            block = csr[idx][:, idx]
             assert block.toarray().tobytes() == Lp.dense().tobytes()
         # padding nodes are isolated
         padding = grid.to_nodes(np.zeros((noisy.height, noisy.width), bool), True)
         assert not np.any(L.degrees[padding])
         assert sum(d.size for d in degrees) == L.n - padding.sum() == noisy.samples.size
+
+    @pytest.mark.parametrize("layout", [*TILINGS, "40x50/64", "one graph"])
+    def test_dot_is_each_graphs_own_dot(self, rng, layout):
+        # the ragged tilings, an image that is one ragged tile, and the
+        # single segment of an operator built from one PixelGraph
+        if layout == "one graph":
+            L = normalized_laplacian(build_graph(
+                ImageGray.from_array(rng.uniform(0, 255, (17, 23))),
+                HoleMask.from_array(rng.random((17, 23)) < 0.1), WeightParams()))
+
+            def part(v, i):
+                return v
+        else:
+            h, w, patch = self.TILINGS.get(layout, (40, 50, 64))
+            guide = ImageGray.from_array(rng.uniform(0, 255, (h, w)))
+            grid = split_patches(guide, patch)
+            L = block_operator(guide, HoleMask.from_array(rng.random((h, w)) < 0.1),
+                               grid, WeightParams())
+
+            def part(v, i):     # patch i's nodes, read off the tile layout
+                _, _, pw, ph = grid.patches[i]
+                return v.reshape(-1, patch, patch)[i, :ph, :pw].ravel()
+        # padding carries data too, and values spanning six decades make a
+        # sum in any other order than x_i @ y_i show in the last bits
+        x, y = (rng.normal(0, 1, L.n) * 10.0 ** rng.uniform(-3, 3, L.n) for _ in range(2))
+        dots, norms = L.dot(x, y), L.norm(x)
+        assert dots.shape == norms.shape == (len(L.segments),)
+        for i in range(len(L.segments)):
+            assert dots[i].tobytes() == (part(x, i) @ part(y, i)).tobytes()
+            assert norms[i].tobytes() == np.linalg.norm(part(x, i)).tobytes()
 
     def test_tile_layout_round_trip(self, rng):
         img = rng.uniform(0, 255, (70, 100))
