@@ -212,6 +212,8 @@ def cmd_spectral_response(args) -> int:
     if not (1 <= args.size <= _SPECTRAL_PATCH_CAP):
         raise ValueError(
             f"spectral-response patch size must be in [1, {_SPECTRAL_PATCH_CAP}]")
+    if args.x0 < 0 or args.y0 < 0:
+        raise ValueError("--x0 and --y0 must be >= 0")
     spec = _filter_spec(args)
     weights = WeightParams(sigma_r=args.sigma_r)
     guide = load_image(args.guide)
@@ -221,7 +223,7 @@ def cmd_spectral_response(args) -> int:
     else:
         mask = HoleMask.all_false(guide.width, guide.height)
     x0, y0, size = args.x0, args.y0, args.size
-    if x0 < 0 or y0 < 0 or x0 + size > guide.width or y0 + size > guide.height:
+    if x0 + size > guide.width or y0 + size > guide.height:
         raise ValueError("patch window falls outside the guide image")
     patch = (x0, y0, size, size)
     L = pipeline.patch_operator(guide, mask, patch, weights)

@@ -9,8 +9,15 @@ pixel with sufficiently larger disparity lands on (almost) the same source
 position -- a simple deterministic z-ordering proxy for occlusion.
 
 Pixel j covers pixel i of its row when |u'_j - u'_i| <= 0.75 and
-d_j - d_i > 1, which needs |j - i| <= max d - min d + 0.75; so testing one
-column shift at a time, up to ceil(max d - min d) + 1, is exact.
+d_j - d_i > 1.  Left to right (u' = u + d), u'_j - u'_i = (j - i) +
+(d_j - d_i) exceeds 2 when j > i, so only a pixel left of i can cover it;
+right to left, only one to its right.  A row's largest drop D, the largest
+d_j - d_i with j on that side of i, bounds every fl(d_j - d_i) of the row
+(floating-point subtraction is monotone).  A row with D <= 1 has no cover;
+in the others a cover needs |j - i| <= D + 0.75, so |j - i| <= ceil(D)
+(position rounding, relevant only for pixels that land in the image, is far
+below the 0.25 to spare).  Testing one column shift at a time on the rows
+with D > 1, up to ceil of their largest D, is therefore exact.
 
 Hole pixels are excluded from graph construction entirely; after filtering
 they are patched by a 3x3 median over their available non-hole neighbors.
@@ -117,6 +124,28 @@ def _quantize_quarter(u: np.ndarray) -> np.ndarray:
     return np.floor(4.0 * np.clip(u, -1.0, u.shape[-1]) + 0.5).astype(np.int64)
 
 
+def _mark_covered(hole: np.ndarray, up: np.ndarray, d: np.ndarray,
+                  left_to_right: bool) -> None:
+    """Add to hole every pixel that another pixel of its row covers: the
+    z-ordering test on the unquantized positions up, one column shift at a
+    time, run only where a cover can happen (module docstring)."""
+    # flip a left-to-right warp so that every cover comes from a later column
+    flip = slice(None, None, -1 if left_to_right else 1)
+    d, up, hole = d[:, flip], up[:, flip], hole[:, flip]
+    # each row's largest drop, max_j d[j] - min(d[:j]) (0 if w = 1), in one buffer
+    buf = np.minimum.accumulate(d, axis=1)
+    drops = np.subtract(d[:, 1:], buf[:, :-1], out=buf[:, :-1]).max(axis=1, initial=0.0)
+    rows = np.flatnonzero(drops > OCCLUSION_DISPARITY_STEP_PX)
+    if not rows.size:
+        return
+    band = min(d.shape[1] - 1, int(np.ceil(drops[rows].max())))
+    d, up, covered = d[rows], up[rows], hole[rows]
+    for s in range(1, band + 1):
+        near = np.abs(up[:, s:] - up[:, :-s]) <= OCCLUSION_RADIUS_PX
+        covered[:, :-s] |= near & (d[:, s:] - d[:, :-s] > OCCLUSION_DISPARITY_STEP_PX)
+    hole[rows] = covered
+
+
 def warp_guide(source: ImageGray, depth: DepthMap, params: WarpParams) -> WarpResult:
     """Backward-warp the source view to the depth map's perspective."""
     if (source.width, source.height) != (depth.width, depth.height):
@@ -124,18 +153,12 @@ def warp_guide(source: ImageGray, depth: DepthMap, params: WarpParams) -> WarpRe
     w = source.width
     src = source.to_array()
     d = depth.to_array()
-    sign = 1.0 if params.direction == "left_to_right" else -1.0
+    left_to_right = params.direction == "left_to_right"
 
-    up = np.arange(w, dtype=np.float64) + sign * d
+    up = np.arange(w, dtype=np.float64) + (1.0 if left_to_right else -1.0) * d
     q4 = _quantize_quarter(up)
     hole = (q4 < 0) | (q4 > 4 * (w - 1))
-    # z-ordering occlusion test on the unquantized positions, one column
-    # shift s = |j - i| at a time (the band is exact: module docstring)
-    span = int(np.ceil(d.max() - d.min())) + 1
-    for s in range(1, min(w - 1, span) + 1):
-        near = np.abs(up[:, s:] - up[:, :-s]) <= OCCLUSION_RADIUS_PX
-        hole[:, :-s] |= near & (d[:, s:] - d[:, :-s] > OCCLUSION_DISPARITY_STEP_PX)
-        hole[:, s:] |= near & (d[:, :-s] - d[:, s:] > OCCLUSION_DISPARITY_STEP_PX)
+    _mark_covered(hole, up, d, left_to_right)
 
     # window b of a row is its samples b-3 .. b+4, boundary pixels replicated;
     # each phase is interpolated at every integer position of the source,
@@ -143,10 +166,15 @@ def warp_guide(source: ImageGray, depth: DepthMap, params: WarpParams) -> WarpRe
     windows = sliding_window_view(np.pad(src, ((0, 0), (3, 4)), mode="edge"), 8, axis=1)
     guide = np.zeros(src.shape, dtype=np.float64)
     phase_counts = np.zeros(4, dtype=np.int64)
+    # each pixel's phase (-1 for a hole) and the flat index of its window
+    label = np.bitwise_and(q4, 3, out=np.empty(q4.shape, np.int8))
+    label[hole] = -1
+    q4 >>= 2
+    q4 += np.arange(0, q4.size, w)[:, None]
     for p, phase in enumerate(PHASES):
-        rows, cols = np.nonzero(~hole & (q4 % 4 == p))
-        guide[rows, cols] = interp_subpel(windows, phase)[rows, q4[rows, cols] // 4]
-        phase_counts[p] = rows.size
+        sel = label == p
+        guide[sel] = interp_subpel(windows, phase).reshape(-1)[q4[sel]]
+        phase_counts[p] = np.count_nonzero(sel)
 
     return WarpResult(
         guide=ImageGray.from_array(guide),

@@ -244,7 +244,9 @@ def conjugate_gradients(L: NormalizedLaplacian, op, x: np.ndarray, r: np.ndarray
             breakdown |= broke
             live &= ~broke
         alpha = ratio(rr, curv)
-        np.add(x, np.multiply(alpha, p, out=tmp), out=x, where=live[:, None])
+        # the mask keeps a stopped segment unwritten; unmasked adds are faster
+        np.add(x, np.multiply(alpha, p, out=tmp), out=x,
+               where=True if live.all() else live[:, None])
         np.subtract(r, np.multiply(alpha, ap, out=tmp), out=r)
         rr_new = L.dot(r, r)
         np.add(r, np.multiply(ratio(rr_new, rr), p, out=p), out=p)

@@ -81,6 +81,17 @@ def test_denoise_calls_read_as_the_tracer_reads_them(monkeypatch):
     assert applies and all(nnz > 0 for nnz in applies)
 
 
+@pytest.mark.parametrize("direction", ["left_to_right", "right_to_left"])
+def test_warp_calls_interp_subpel_once_per_phase(monkeypatch, direction):
+    # the tracer reads dibr.interp_subpel.calls as four per warp
+    sc = synth_scene(size=64, seed=3)
+    calls = []
+    _spy(monkeypatch, "dibr", "interp_subpel", calls)
+    wr = warp_guide(sc.left, sc.depth, WarpParams(direction=direction))
+    assert [args[1] for args, _, _ in calls] == [0.0, 0.25, 0.5, 0.75]
+    assert wr.mask.flags.sum() > 0
+
+
 def test_build_graph_result_carries_edges_and_degrees():
     img = ImageGray.from_array(np.arange(12.0).reshape(3, 4))
     g = build_graph(img, HoleMask.all_false(4, 3), WeightParams())

@@ -134,15 +134,21 @@ class TestWarpGuide:
     @settings(max_examples=200)
     @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 64),
            height=st.integers(1, 5), integer_source=st.booleans(),
-           spread=st.sampled_from(["zero", "small", "wide", "layered"]),
+           spread=st.sampled_from(["zero", "small", "wide", "layered", "rows"]),
            direction=st.sampled_from(["left_to_right", "right_to_left"]))
     # the widest possible cover: pixel 0 covers pixel w - 1, or the reverse
     @example(seed=0, width=10, height=1, integer_source=False, spread="edge",
              direction="left_to_right")
     @example(seed=0, width=10, height=1, integer_source=False, spread="edge",
              direction="right_to_left")
+    @example(seed=1, width=12, height=1, integer_source=False, spread="rows",
+             direction="left_to_right")
+    @example(seed=1, width=12, height=1, integer_source=False, spread="rows",
+             direction="right_to_left")
     def test_matches_per_row_loop_bitwise(self, seed, width, height, integer_source,
                                           spread, direction):
+        if spread == "rows":
+            height += 4  # room for every row kind
         r = np.random.default_rng(seed)
         src = r.uniform(0, 255, (height, width))
         if integer_source:
@@ -158,11 +164,14 @@ class TestWarpGuide:
         elif spread == "edge":
             disp = np.zeros(shape)
             disp[:, 0 if direction == "left_to_right" else -1] = width - 1
+        elif spread == "rows":
+            disp = _mixed_rows(r, height, width, direction)
         else:
             disp = r.uniform(0.0, 3.0 if spread == "small" else 2.5 * width + 10.0, shape)
-        # quarter-pel steps plus offsets that round either way, so every
-        # phase, tie and occlusion edge case comes up
-        disp = np.where(r.random(shape) < 0.5, np.round(4 * disp) / 4, disp)
+        if spread != "rows":
+            # quarter-pel steps plus offsets that round either way, so every
+            # phase, tie and occlusion edge case comes up
+            disp = np.where(r.random(shape) < 0.5, np.round(4 * disp) / 4, disp)
         source, depth = ImageGray.from_array(src), DepthMap.from_array(disp)
         params = WarpParams(direction=direction)
         _assert_same_warp(warp_guide(source, depth, params),
@@ -191,6 +200,25 @@ class TestWarpGuide:
         g = build_graph(res.guide, res.mask, WeightParams())
         iso = g.degrees == 0
         assert np.array_equal(iso, res.mask.flags)
+
+
+def _mixed_rows(r, height, width, direction) -> np.ndarray:
+    """height >= 5 rows, each kind below at least once, in random order.  A
+    row's drop is its largest d_j - d_i with pixel j on the side a cover
+    comes from (the left for left_to_right, the right for right_to_left)."""
+    u = np.arange(width)
+    cut = r.integers(1, max(width, 2))  # the drop sits between cut - 1 and cut
+    base = r.integers(0, 40) / 4
+    kinds = [
+        np.full(width, base),                                    # flat
+        np.sort(r.uniform(0.0, 2.5 * width + 10.0, width)),     # wide, no drop
+        base + np.where(u < cut, 1.0, 0.0),                      # drop of 1.0
+        np.where(u < cut, np.nextafter(1.0, 2.0), 0.0),          # just above 1
+        np.where(u == 0, width - 1.0, 0.0),                      # full width
+    ]
+    rows = np.stack([kinds[k] for k in r.permutation(np.arange(height) % 5)])
+    # kinds are written for left_to_right; a mirrored row serves right_to_left
+    return rows if direction == "left_to_right" else rows[:, ::-1].copy()
 
 
 def _assert_same_warp(got: WarpResult, want: WarpResult) -> None:

@@ -419,7 +419,8 @@ class TestCli:
         ("denoise", "--patch", "4"), ("denoise", "--sigma", "-1"),
         ("denoise", "--sigma", "nan"), ("denoise", "--seed", "-1"),
         ("warp", "--scale", "-1"), ("warp", "--scale", "nan"),
-        ("warp", "--scale", "inf")])
+        ("warp", "--scale", "inf"), ("spectral-response", "--x0", "-1"),
+        ("spectral-response", "--y0", "-1")])
     def test_bad_flag_is_usage_error_before_any_input(self, tmp_path, capsys,
                                                       command, flag, value):
         missing = str(tmp_path / "missing.pgm")
@@ -427,8 +428,11 @@ class TestCli:
         if command == "denoise":
             argv = ["denoise", "--clean", missing, "--guide", missing,
                     "--mask", str(tmp_path / "missing.pbm"), "--filter", "cheb"]
-        else:
+        elif command == "warp":
             argv = ["warp", "--source", missing, "--depth", missing, "--scale", "1"]
+        else:
+            argv = ["spectral-response", "--guide", missing, "--input", missing,
+                    "--mask", str(tmp_path / "missing.pbm"), "--filter", "cheb"]
         assert main([*argv, flag, value, "--out", str(out)]) == 2
         assert flag.lstrip("-") in capsys.readouterr().err
         assert not out.exists()
