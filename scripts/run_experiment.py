@@ -16,13 +16,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 from graphdenoise import (FilterKind, FilterSpec, NoiseSpec, WarpParams,
                           WeightParams, add_gaussian_noise, denoise, psnr,
                           synth_scene, warp_guide)
-from graphdenoise.pipeline import reference_comparison
-
-
-def label(kind: FilterKind, k: int) -> str:
-    """Row name in the reference table: the k-step filters carry their k."""
-    name = kind.value.upper()
-    return name if kind in (FilterKind.JBF, FilterKind.GBJBF) else f"{k}-{name}"
+from graphdenoise.pipeline import reference_comparison, reference_name
 
 
 def main() -> int:
@@ -54,7 +48,7 @@ def main() -> int:
                                patch_size=args.patch)
         dt = time.perf_counter() - t0
         val = psnr(out, scene.right)
-        name = label(kind, args.k)
+        name = reference_name(kind, args.k)
         results[name] = val
         print(f"{name:<7} PSNR {val:8.2f} dB  (gain {val - base:+7.2f} dB, {dt:5.2f}s)")
 

@@ -30,7 +30,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatchError, FileFormatError
-from .image import HoleMask, ImageGray, _frozen, read_pgm, write_pgm
+from .image import (HoleMask, ImageGray, _frozen, _Raster, check_same_shape,
+                    read_pgm, write_pgm)
 
 # H.265/HEVC luma interpolation taps (sum to 64 each, normalized by 1/64).
 # Half-pel uses 8 taps on offsets -3..+4; quarter-pel kernels use 7 taps on
@@ -49,28 +50,17 @@ OCCLUSION_DISPARITY_STEP_PX = 1.0
 
 
 @dataclass(frozen=True)
-class DepthMap:
+class DepthMap(_Raster):
     """Per-pixel horizontal disparity, in pixels, for the target view."""
 
-    width: int
-    height: int
     values: np.ndarray
+    _field = "values"
+    _dtype = np.float64
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (self.width * self.height,):
-            raise DimensionMismatchError("depth size mismatch")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
+        super().__post_init__()
+        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
             raise ValueError("disparities must be finite and >= 0")
-        object.__setattr__(self, "values", _frozen(v))
-
-    @classmethod
-    def from_array(cls, a) -> "DepthMap":
-        a = np.asarray(a, dtype=np.float64)
-        return cls(width=a.shape[1], height=a.shape[0], values=a.ravel())
-
-    def to_array(self) -> np.ndarray:
-        return self.values.reshape(self.height, self.width)
 
 
 @dataclass(frozen=True)
@@ -148,8 +138,7 @@ def _mark_covered(hole: np.ndarray, up: np.ndarray, d: np.ndarray,
 
 def warp_guide(source: ImageGray, depth: DepthMap, params: WarpParams) -> WarpResult:
     """Backward-warp the source view to the depth map's perspective."""
-    if (source.width, source.height) != (depth.width, depth.height):
-        raise DimensionMismatchError("source/depth size mismatch")
+    check_same_shape(source, depth, "source/depth")
     w = source.width
     src = source.to_array()
     d = depth.to_array()
@@ -195,8 +184,7 @@ def median_fill(img: ImageGray, mask: HoleMask) -> ImageGray:
     ones (so NaN samples count as unavailable), and each row is sorted
     stably, which puts the NaNs last.
     """
-    if (img.width, img.height) != (mask.width, mask.height):
-        raise DimensionMismatchError("image/mask size mismatch")
+    check_same_shape(img, mask, "image/mask")
     hole = mask.to_array()
     out = img.to_array().copy()
     ys, xs = np.nonzero(hole)

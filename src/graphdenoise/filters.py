@@ -75,8 +75,8 @@ class FilterSpec:
             raise ValueError(f"k must be in [1, {MAX_K}]")
         if not (0.0 < self.l < 2.0):
             raise ValueError("stop-band start l must lie in (0, 2)")
-        if not self.rho > 0:
-            raise ValueError("rho must be > 0")
+        if not 0 < self.rho < np.inf:
+            raise ValueError("rho must be finite and > 0")
 
 
 def jbf(L: NormalizedLaplacian, b: np.ndarray) -> np.ndarray:
@@ -171,7 +171,7 @@ def poly_expand_gbjbf(k: int, rho: float) -> PolyExpansion:
     m = max(64, 8 * k)
     theta = np.pi * (np.arange(m) + 0.5) / m
     lam = 1.0 + np.cos(theta)
-    f = 1.0 / (1.0 + rho * lam**2)
+    f = gbjbf_response(rho)(lam)
     j = np.arange(k + 1)[:, None]
     c = (2.0 / m) * (np.cos(j * theta[None, :]) @ f)
     c[0] *= 0.5

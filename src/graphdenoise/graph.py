@@ -111,6 +111,13 @@ class PixelGraph:
         return list(zip(self.edge_i.tolist(), self.edge_j.tolist(), self.edge_w.tolist()))
 
 
+def bilateral_weights(d: np.ndarray, params: WeightParams) -> np.ndarray:
+    """exp(-d^2 / (2 sigma_r^2)) of guide differences d; an exponent that
+    overflows gives the weight 0 it tends to."""
+    with np.errstate(over="ignore"):
+        return np.exp(-(d**2) * (1.0 / (2.0 * params.sigma_r**2)))
+
+
 def build_graph(guide: ImageGray, mask: HoleMask, params: WeightParams) -> PixelGraph:
     """4-connected bilateral graph over non-hole pixels of a guide image."""
     check_same_shape(guide, mask, "guide/mask")
@@ -119,7 +126,6 @@ def build_graph(guide: ImageGray, mask: HoleMask, params: WeightParams) -> Pixel
     hole = mask.to_array()
     ok = ~hole
     idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
-    inv_two_sigma2 = 1.0 / (2.0 * params.sigma_r**2)
 
     parts_i, parts_j, parts_w = [], [], []
     if w > 1:
@@ -127,13 +133,13 @@ def build_graph(guide: ImageGray, mask: HoleMask, params: WeightParams) -> Pixel
         d = (g[:, :-1] - g[:, 1:]).ravel()
         parts_i.append(idx[:, :-1].ravel()[keep])
         parts_j.append(idx[:, 1:].ravel()[keep])
-        parts_w.append(np.exp(-(d[keep] ** 2) * inv_two_sigma2))
+        parts_w.append(bilateral_weights(d[keep], params))
     if h > 1:
         keep = (ok[:-1, :] & ok[1:, :]).ravel()
         d = (g[:-1, :] - g[1:, :]).ravel()
         parts_i.append(idx[:-1, :].ravel()[keep])
         parts_j.append(idx[1:, :].ravel()[keep])
-        parts_w.append(np.exp(-(d[keep] ** 2) * inv_two_sigma2))
+        parts_w.append(bilateral_weights(d[keep], params))
 
     if parts_i:
         ei = np.concatenate(parts_i)

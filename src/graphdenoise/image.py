@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,65 +23,55 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ImageGray:
-    """A width x height grayscale image, samples stored row-major."""
+class _Raster:
+    """A width x height grid with one value per pixel, stored row-major and
+    frozen in the subclass's array field, named by ``_field``, as ``_dtype``."""
 
     width: int
     height: int
-    samples: np.ndarray
+    _field: ClassVar[str]
+    _dtype: ClassVar[type]
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise DimensionMismatchError("image dimensions must be >= 1")
-        a = np.asarray(self.samples, dtype=np.float64)
+            raise DimensionMismatchError(f"{type(self).__name__} dimensions must be >= 1")
+        a = np.asarray(getattr(self, self._field), dtype=self._dtype)
         if a.shape != (self.width * self.height,):
             raise DimensionMismatchError(
-                f"expected {self.width * self.height} samples, got {a.shape}"
-            )
-        object.__setattr__(self, "samples", _frozen(a))
+                f"expected {self.width * self.height} {self._field}, got {a.shape}")
+        object.__setattr__(self, self._field, _frozen(a))
 
     @classmethod
-    def from_array(cls, a) -> "ImageGray":
-        a = np.asarray(a, dtype=np.float64)
+    def from_array(cls, a):
+        a = np.asarray(a, dtype=cls._dtype)
         if a.ndim != 2:
             raise DimensionMismatchError("expected a 2-D array")
-        return cls(width=a.shape[1], height=a.shape[0], samples=a.ravel())
+        return cls(a.shape[1], a.shape[0], a.ravel())
 
     def to_array(self) -> np.ndarray:
-        return self.samples.reshape(self.height, self.width)
+        return getattr(self, self._field).reshape(self.height, self.width)
 
 
 @dataclass(frozen=True)
-class HoleMask:
+class ImageGray(_Raster):
+    """A width x height grayscale image, samples stored row-major."""
+
+    samples: np.ndarray
+    _field = "samples"
+    _dtype = np.float64
+
+
+@dataclass(frozen=True)
+class HoleMask(_Raster):
     """Boolean per-pixel mask, True marks a hole pixel."""
 
-    width: int
-    height: int
     flags: np.ndarray
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise DimensionMismatchError("mask dimensions must be >= 1")
-        a = np.asarray(self.flags, dtype=bool)
-        if a.shape != (self.width * self.height,):
-            raise DimensionMismatchError(
-                f"expected {self.width * self.height} flags, got {a.shape}"
-            )
-        object.__setattr__(self, "flags", _frozen(a))
-
-    @classmethod
-    def from_array(cls, a) -> "HoleMask":
-        a = np.asarray(a, dtype=bool)
-        if a.ndim != 2:
-            raise DimensionMismatchError("expected a 2-D array")
-        return cls(width=a.shape[1], height=a.shape[0], flags=a.ravel())
+    _field = "flags"
+    _dtype = bool
 
     @classmethod
     def all_false(cls, width: int, height: int) -> "HoleMask":
         return cls(width=width, height=height, flags=np.zeros(width * height, bool))
-
-    def to_array(self) -> np.ndarray:
-        return self.flags.reshape(self.height, self.width)
 
 
 def check_same_shape(a, b, what: str = "operands") -> None:

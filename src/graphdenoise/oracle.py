@@ -72,9 +72,11 @@ def exact_filter(eig: EigenDecomposition, h: Callable[[np.ndarray], np.ndarray],
 
 
 def gbjbf_response(rho: float):
-    """The closed-form low-pass transfer function 1 / (1 + rho * lambda^2)."""
+    """The closed-form low-pass transfer function 1 / (1 + rho * lambda^2),
+    0 where rho * lambda^2 overflows."""
     def h(lam):
-        return 1.0 / (1.0 + rho * np.asarray(lam) ** 2)
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + rho * np.asarray(lam) ** 2)
     return h
 
 

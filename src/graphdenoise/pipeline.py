@@ -23,9 +23,9 @@ import scipy.sparse as sp
 
 from .dibr import median_fill
 from .errors import NumericError
-from .filters import FilterSpec, apply_filter
-from .graph import (NormalizedLaplacian, WeightParams, build_graph,
-                    normalized_laplacian)
+from .filters import FilterKind, FilterSpec, apply_filter
+from .graph import (NormalizedLaplacian, WeightParams, bilateral_weights,
+                    build_graph, normalized_laplacian)
 from .image import HoleMask, ImageGray, _frozen, check_same_shape
 
 # Published PSNR (dB) reported for these graph filters on the standard
@@ -38,6 +38,14 @@ REFERENCE_PSNR_DB = {
     "3-CHEB": {"Kendo": 35.67, "Poznan_Street": 34.35, "Undo_Dancer": 31.92},
 }
 REFERENCE_SEQUENCES = ("Kendo", "Poznan_Street", "Undo_Dancer")
+
+
+def reference_name(kind: FilterKind, k: int) -> str:
+    """A filter's row name in REFERENCE_PSNR_DB: the k-step filters carry
+    their k."""
+    name = kind.value.upper()
+    return name if kind in (FilterKind.JBF, FilterKind.GBJBF) else f"{k}-{name}"
+
 
 MIN_PATCH_SIZE = 8
 
@@ -65,8 +73,10 @@ def add_gaussian_noise(img: ImageGray, spec: NoiseSpec) -> ImageGray:
     if spec.sigma == 0:
         return img
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    noise = spec.sigma * rng.standard_normal(img.samples.size)
-    return ImageGray(img.width, img.height, img.samples + noise)
+    # an overflowing sample is left to the filters' finiteness check
+    with np.errstate(over="ignore"):
+        noise = spec.sigma * rng.standard_normal(img.samples.size)
+        return ImageGray(img.width, img.height, img.samples + noise)
 
 
 @dataclass(frozen=True)
@@ -74,9 +84,9 @@ class PatchGrid:
     """Disjoint tiling into patch_size x patch_size tiles, row-major;
     edge tiles may be smaller.
 
-    Tile-major node order: the image is padded on the right and bottom to
-    whole tiles, and tile t occupies nodes t*p^2 .. (t+1)*p^2 - 1,
-    row-major within the tile (p = patch_size)."""
+    Tile-major node order: every tile is padded on the right and bottom to
+    one ``cell`` of ch x cw nodes, and tile t occupies nodes t*ch*cw ..
+    (t+1)*ch*cw - 1, row-major within the tile."""
 
     width: int
     height: int
@@ -94,34 +104,40 @@ class PatchGrid:
                               min(self.patch_size, self.height - y0)))
         object.__setattr__(self, "patches", tuple(tiles))
 
-    def _tiles(self) -> tuple[int, int]:
+    @property
+    def cell(self) -> tuple[int, int]:
+        """(ch, cw): patch_size clipped to the image, so a patch larger than
+        the image pads nothing, but at least 2 wide, which keeps the
+        operator's DIA offsets -cw, -1, 0, 1, cw distinct."""
         p = self.patch_size
-        return -(-self.height // p), -(-self.width // p)
+        return min(p, self.height), min(p, max(self.width, 2))
+
+    def _tiles(self) -> tuple[int, int, int, int]:
+        ch, cw = self.cell
+        return -(-self.height // ch), -(-self.width // cw), ch, cw
 
     def to_nodes(self, a: np.ndarray, fill) -> np.ndarray:
         """A (height, width) array in tile-major node order, padded with
         fill."""
-        p = self.patch_size
-        ty, tx = self._tiles()
-        pad = np.full((ty * p, tx * p), fill, dtype=np.asarray(a).dtype)
+        ty, tx, ch, cw = self._tiles()
+        pad = np.full((ty * ch, tx * cw), fill, dtype=np.asarray(a).dtype)
         pad[: self.height, : self.width] = a
-        return pad.reshape(ty, p, tx, p).swapaxes(1, 2).reshape(-1)
+        return pad.reshape(ty, ch, tx, cw).swapaxes(1, 2).reshape(-1)
 
     def from_nodes(self, x: np.ndarray) -> np.ndarray:
         """Inverse of ``to_nodes``: the (height, width) image, padding
         dropped."""
-        p = self.patch_size
-        ty, tx = self._tiles()
-        a = x.reshape(ty, tx, p, p).swapaxes(1, 2).reshape(ty * p, tx * p)
+        ty, tx, ch, cw = self._tiles()
+        a = x.reshape(ty, tx, ch, cw).swapaxes(1, 2).reshape(ty * ch, tx * cw)
         return a[: self.height, : self.width]
 
     def segments(self) -> tuple:
-        """Per tile, its pixels' nodes within the tile's p^2 nodes, in the
-        tile's own row-major order: all of them for a whole tile, an index
-        array for an edge tile."""
-        p = self.patch_size
-        return tuple(slice(None) if (w, h) == (p, p)
-                     else _frozen((p * np.arange(h)[:, None] + np.arange(w)).ravel())
+        """Per tile, its pixels' nodes within the tile's cell, in the
+        tile's own row-major order: all of them for a tile that fills its
+        cell, an index array for any other."""
+        ch, cw = self.cell
+        return tuple(slice(None) if (w, h) == (cw, ch)
+                     else _frozen((cw * np.arange(h)[:, None] + np.arange(w)).ravel())
                      for _, _, w, h in self.patches)
 
 
@@ -129,14 +145,10 @@ def split_patches(img: ImageGray, patch_size: int) -> PatchGrid:
     return PatchGrid(width=img.width, height=img.height, patch_size=patch_size)
 
 
-def extract_patch(img: ImageGray, patch) -> ImageGray:
+def extract_patch(img: ImageGray | HoleMask, patch) -> ImageGray | HoleMask:
+    """Patch (x0, y0, w, h) of an image or a mask, as the same type."""
     x0, y0, w, h = patch
-    return ImageGray.from_array(img.to_array()[y0 : y0 + h, x0 : x0 + w])
-
-
-def extract_mask_patch(mask: HoleMask, patch) -> HoleMask:
-    x0, y0, w, h = patch
-    return HoleMask.from_array(mask.to_array()[y0 : y0 + h, x0 : x0 + w])
+    return type(img).from_array(img.to_array()[y0 : y0 + h, x0 : x0 + w])
 
 
 def patch_operator(guide: ImageGray, mask: HoleMask, patch,
@@ -144,7 +156,7 @@ def patch_operator(guide: ImageGray, mask: HoleMask, patch,
     """The normalized Laplacian, with its degrees, of the bilateral graph
     of one patch of the guide, assembled by ``build_graph``."""
     return normalized_laplacian(
-        build_graph(extract_patch(guide, patch), extract_mask_patch(mask, patch), weights))
+        build_graph(extract_patch(guide, patch), extract_patch(mask, patch), weights))
 
 
 def block_operator(guide: ImageGray, mask: HoleMask, grid: PatchGrid,
@@ -158,22 +170,22 @@ def block_operator(guide: ImageGray, mask: HoleMask, grid: PatchGrid,
     and ``normalized_laplacian`` use on that patch alone: degrees sum the
     right, down, up and left weights in turn, an edge scales as
     (w s_i) s_j with i < j, and the operator is a DIA matrix with offsets
-    (-p, -1, 0, 1, p), which sums each row in CSR column order.
+    (-cw, -1, 0, 1, cw) for the grid's cell width cw, which sums each row
+    in CSR column order.
     """
     check_same_shape(guide, mask, "guide/mask")
-    p = grid.patch_size
-    g = grid.to_nodes(guide.to_array(), 0.0).reshape(-1, p, p)
-    ok = ~grid.to_nodes(mask.to_array(), True).reshape(-1, p, p)
-    inv_two_sigma2 = 1.0 / (2.0 * weights.sigma_r**2)
+    ch, cw = grid.cell
+    g = grid.to_nodes(guide.to_array(), 0.0).reshape(-1, ch, cw)
+    ok = ~grid.to_nodes(mask.to_array(), True).reshape(-1, ch, cw)
 
     right = np.zeros_like(g)   # weight of the edge to the next column
     down = np.zeros_like(g)    # weight of the edge to the next row
     d = g[:, :, :-1] - g[:, :, 1:]
     right[:, :, :-1] = np.where(ok[:, :, :-1] & ok[:, :, 1:],
-                                np.exp(-(d**2) * inv_two_sigma2), 0.0)
+                                bilateral_weights(d, weights), 0.0)
     d = g[:, :-1, :] - g[:, 1:, :]
     down[:, :-1, :] = np.where(ok[:, :-1, :] & ok[:, 1:, :],
-                               np.exp(-(d**2) * inv_two_sigma2), 0.0)
+                               bilateral_weights(d, weights), 0.0)
     deg = right + down
     deg[:, 1:, :] += down[:, :-1, :]
     deg[:, :, 1:] += right[:, :, :-1]
@@ -189,12 +201,12 @@ def block_operator(guide: ImageGray, mask: HoleMask, grid: PatchGrid,
     n = deg.size
     s_right, s_down = right.ravel(), down.ravel()
     data = np.zeros((5, n))
-    data[0] = -s_down             # A[v + p, v]
+    data[0] = -s_down             # A[v + cw, v]
     data[1] = -s_right            # A[v + 1, v]
     data[2] = noniso.ravel()      # A[v, v]
     data[3, 1:] = -s_right[:-1]   # A[v - 1, v]
-    data[4, p:] = -s_down[:-p]    # A[v - p, v]
-    m = sp.dia_matrix((data, np.array([-p, -1, 0, 1, p])), shape=(n, n))
+    data[4, cw:] = -s_down[:-cw]  # A[v - cw, v]
+    m = sp.dia_matrix((data, np.array([-cw, -1, 0, 1, cw])), shape=(n, n))
     return NormalizedLaplacian(matrix=m, degrees=_frozen(deg.ravel()),
                                segments=grid.segments())
 
@@ -230,7 +242,7 @@ class DenoiseReport:
         lines = ["denoise report", "--------------"]
         lines += [f"{k} = {v}" for k, v in self.metrics()]
         if self.psnr_noisy_db is not None and self.psnr_denoised_db is not None:
-            name = str(self.params.get("filter", "?"))
+            name = reference_name(FilterKind(self.params["filter"]), self.params["k"])
             lines.append("")
             lines.append(reference_comparison({name: self.psnr_denoised_db}))
         return "\n".join(lines) + "\n"

@@ -163,9 +163,14 @@ class TestDenoise:
         assert not np.any(L.degrees[padding])
         assert sum(d.size for d in degrees) == L.n - padding.sum() == noisy.samples.size
 
-    @pytest.mark.parametrize("layout", [*TILINGS, "40x50/64", "one graph"])
+    # an image smaller than its patch, which is one tile filling its
+    # clipped cell, and one only lower than its patch, which ends in a
+    # ragged tile
+    SMALL_IMAGES = {"40x50/64": (40, 50, 64), "40x80/64": (40, 80, 64)}
+
+    @pytest.mark.parametrize("layout", [*TILINGS, *SMALL_IMAGES, "one graph"])
     def test_dot_is_each_graphs_own_dot(self, rng, layout):
-        # the ragged tilings, an image that is one ragged tile, and the
+        # the ragged tilings, images smaller than the patch, and the
         # single segment of an operator built from one PixelGraph
         if layout == "one graph":
             L = normalized_laplacian(build_graph(
@@ -175,7 +180,7 @@ class TestDenoise:
             def part(v, i):
                 return v
         else:
-            h, w, patch = self.TILINGS.get(layout, (40, 50, 64))
+            h, w, patch = {**self.TILINGS, **self.SMALL_IMAGES}[layout]
             guide = ImageGray.from_array(rng.uniform(0, 255, (h, w)))
             grid = split_patches(guide, patch)
             L = block_operator(guide, HoleMask.from_array(rng.random((h, w)) < 0.1),
@@ -183,7 +188,7 @@ class TestDenoise:
 
             def part(v, i):     # patch i's nodes, read off the tile layout
                 _, _, pw, ph = grid.patches[i]
-                return v.reshape(-1, patch, patch)[i, :ph, :pw].ravel()
+                return v.reshape(-1, *grid.cell)[i, :ph, :pw].ravel()
         # padding carries data too, and values spanning six decades make a
         # sum in any other order than x_i @ y_i show in the last bits
         x, y = (rng.normal(0, 1, L.n) * 10.0 ** rng.uniform(-3, 3, L.n) for _ in range(2))
@@ -203,6 +208,39 @@ class TestDenoise:
             tile = nodes[t * 64 * 64:(t + 1) * 64 * 64][seg]
             assert np.array_equal(tile, img[y0:y0 + h, x0:x0 + w].ravel())
         assert np.isnan(nodes).sum() == nodes.size - img.size
+
+    @pytest.mark.parametrize("h, w", [(24, 24), (20, 36), (20, 1), (1, 30)])
+    @pytest.mark.parametrize("kind", [k.value for k in FilterKind])
+    def test_patch_larger_than_the_image_pads_nothing(self, rng, kind, h, w):
+        guide = ImageGray.from_array(rng.uniform(0, 255, (h, w)))
+        noisy = add_gaussian_noise(guide, NoiseSpec(sigma=10.0, seed=5))
+        mask = HoleMask.from_array(rng.random((h, w)) < 0.1)
+        spec, weights = FilterSpec(FilterKind(kind)), WeightParams()
+        side = max(h, w, pipeline.MIN_PATCH_SIZE)
+        outs = [denoise(noisy, guide, mask, spec, weights, patch_size=p)[0]
+                .samples.tobytes() for p in (side, side + 1, 4096, 10**6)]
+        assert outs == outs[:1] * 4
+        # the one tile filtered on its own graph
+        patch = (0, 0, w, h)
+        ref = apply_filter(spec, patch_operator(guide, mask, patch, weights), noisy.samples)
+        assert outs[0] == median_fill(ImageGray(w, h, ref), mask).samples.tobytes()
+        # at least 2 wide, so the DIA offsets -cw, -1, 0, 1, cw are distinct
+        grid = split_patches(noisy, 10**6)
+        assert grid.cell == (h, max(w, 2))
+        assert block_operator(guide, mask, grid, weights).n == h * max(w, 2)
+
+    def test_report_lines_the_run_up_with_its_published_row(self, rng):
+        clean, guide, noisy = self._inputs(rng)
+        out, report = denoise(noisy, guide, HoleMask.all_false(32, 32),
+                              FilterSpec(FilterKind.K_CHEB, k=3), WeightParams(),
+                              patch_size=16)
+        report.psnr_noisy_db = psnr(noisy, clean)
+        report.psnr_denoised_db = psnr(out, clean)
+        table = report.to_text().split("reference comparison")[1].splitlines()
+        rows = [row for row in table if row.startswith("3-CHEB")]
+        assert len(rows) == 1
+        assert f"{report.psnr_denoised_db:.2f}" in rows[0] and "35.67" in rows[0]
+        assert not any(row.lower().startswith("cheb") for row in table)
 
     def test_denoise_filters_the_whole_image_in_one_call(self, rng, monkeypatch):
         noisy, guide, mask, patch = self._tiled_inputs(rng, "100x150/64")

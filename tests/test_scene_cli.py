@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphdenoise import (FilterKind, WarpParams, pipeline, scene, synth_scene,
@@ -11,7 +16,8 @@ from graphdenoise import (FilterKind, WarpParams, pipeline, scene, synth_scene,
 from graphdenoise.cli import main
 from graphdenoise.dibr import DepthMap, load_depth
 from graphdenoise.filters import FILTERS, FilterDef
-from graphdenoise.image import ImageGray, load_image, load_mask, read_pgm, write_pgm
+from graphdenoise.image import (ImageGray, load_image, load_mask, read_pgm, write_pbm,
+                               write_pgm)
 from graphdenoise.scene import (BACKGROUND_DISPARITY_PX, DEPTH_SCALE, DEFAULT_SEED,
                                 FOREGROUND_DISPARITY_PX, MAX_SIZE, StereoScene,
                                 _plane_wave_texture, foreground_rect)
@@ -296,6 +302,28 @@ class TestCli:
         assert rc == 4
         assert not out.exists()
 
+    def test_nonfinite_reference_or_response_is_numeric_error(self, tmp_path,
+                                                              monkeypatch):
+        # both run with numpy's overflow warnings off, so only an explicit
+        # check stops a NaN reference or an inf response
+        scene_dir = self._synth(tmp_path, size=64)
+        warp_dir = self._warp(tmp_path, scene_dir)
+        real = FILTERS[FilterKind.K_CHEB]
+        monkeypatch.setitem(FILTERS, FilterKind.K_CHEB, FilterDef(
+            fast=lambda spec, L, x: real.fast(spec, L, x) * np.inf,
+            reference=lambda spec, L, x: np.full_like(x, np.nan)))
+        inputs = ["--guide", str(warp_dir / "guide.pgm"),
+                  "--mask", str(warp_dir / "mask.pbm"), "--filter", "cheb"]
+        monkeypatch.setattr(pipeline, "apply_filter", lambda spec, L, b: b)
+        out = tmp_path / "run"
+        assert main(["denoise", "--clean", str(scene_dir / "right.pgm"), *inputs,
+                     "--patch", "32", "--check-oracle", "--out", str(out)]) == 4
+        assert not out.exists()
+        out = tmp_path / "r.csv"
+        assert main(["spectral-response", "--input", str(scene_dir / "right.pgm"),
+                     *inputs, "--out", str(out)]) == 4
+        assert not out.exists()
+
     def test_check_oracle_filters_once(self, tmp_path, monkeypatch):
         scene_dir = self._synth(tmp_path)
         warp_dir = self._warp(tmp_path, scene_dir)
@@ -391,6 +419,36 @@ class TestCli:
         assert "scale" in err and "Warning" not in err
         assert not out.exists()
 
+    def test_overflowing_noise_is_numeric_error_without_warnings(self, tmp_path, capsys):
+        scene_dir = self._synth(tmp_path, size=64)
+        warp_dir = self._warp(tmp_path, scene_dir)
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["denoise", "--clean", str(scene_dir / "right.pgm"),
+                       "--sigma", "1e308", "--guide", str(warp_dir / "guide.pgm"),
+                       "--mask", str(warp_dir / "mask.pbm"),
+                       "--filter", "cheb", "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Warning" not in err
+        assert not out.exists()
+
+    def test_underflowing_weights_are_zero_without_warnings(self, tmp_path, capsys):
+        # 1/(2 sigma_r^2) is finite, but (g_i - g_j)^2 times it overflows
+        scene_dir = self._synth(tmp_path, size=64)
+        warp_dir = self._warp(tmp_path, scene_dir)
+        guide, mask = str(warp_dir / "guide.pgm"), str(warp_dir / "mask.pbm")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["denoise", "--clean", str(scene_dir / "right.pgm"),
+                         "--guide", guide, "--mask", mask, "--filter", "cheb",
+                         "--sigma-r", "1e-154", "--out", str(tmp_path / "run")]) == 0
+            assert main(["spectral-response", "--guide", guide, "--mask", mask,
+                         "--input", str(scene_dir / "right.pgm"), "--filter", "cheb",
+                         "--sigma-r", "1e-154", "--out", str(tmp_path / "r.csv")]) == 0
+        assert "Warning" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("scale", [1e307, float("inf")])
     def test_load_depth_overflow_is_value_error_without_warnings(self, tmp_path, scale):
         p = tmp_path / "depth.pgm"
@@ -420,7 +478,8 @@ class TestCli:
         ("denoise", "--sigma", "nan"), ("denoise", "--seed", "-1"),
         ("warp", "--scale", "-1"), ("warp", "--scale", "nan"),
         ("warp", "--scale", "inf"), ("spectral-response", "--x0", "-1"),
-        ("spectral-response", "--y0", "-1")])
+        ("spectral-response", "--y0", "-1"), ("denoise", "--rho", "inf"),
+        ("spectral-response", "--rho", "inf")])
     def test_bad_flag_is_usage_error_before_any_input(self, tmp_path, capsys,
                                                       command, flag, value):
         missing = str(tmp_path / "missing.pgm")
@@ -533,3 +592,130 @@ class TestCli:
                    "--filter", "jbf", "--out", str(out)])
         assert rc == 2
         assert not out.exists() or not any(out.iterdir())
+
+
+# Extreme and invalid flag values: small, boundary and huge ints, and floats
+# with 0, negatives, +-inf, nan, 1e-154 (whose square underflows) and 1e308
+INTS = st.one_of(st.integers(-3, 70), st.sampled_from(
+    [8, 16, 32, 33, 64, 65, 96, 97, 256, 257, 4096, 4097, 2**31, 2**63, 10**30,
+     -2**63]))
+FLOATS = st.one_of(st.sampled_from(
+    [0.0, -0.0, -1.0, 0.5, 2.0, 10.0, math.inf, -math.inf, math.nan, 1e-154,
+     -1e-154, 1e308, -1e308, 5e-324, DEPTH_SCALE]), st.floats(0.01, 100.0), st.floats())
+# a valid synth --size above 96 would build a large scene
+SIZES = INTS.filter(lambda s: not 96 < s <= MAX_SIZE)
+PATCHES = st.one_of(st.integers(0, 80), st.sampled_from([4096, 10**6, 2**62, 10**30]))
+BROKEN = ("truncated", "maxval0", "pgm16", "small_mask", "empty", "missing")
+
+
+def _flag(name, values):
+    """--name=value, so that negative and non-finite values reach the parser."""
+    return values.map(lambda v: [f"--{name}={v!r}"])
+
+
+def _optional(name, values):
+    return st.one_of(st.just([]), _flag(name, values))
+
+
+def _inputs(*roles):
+    """Each (flag, file) role as {file}, at most one file swapped for a
+    broken one; an empty flag is a positional argument."""
+    def argv(broken):
+        names = [name for _, name in roles]
+        if broken is not None:
+            names[broken[0] % len(names)] = broken[1]
+        return [a for (flag, _), name in zip(roles, names)
+                for a in (flag, f"{{{name}}}") if a]
+
+    return st.one_of(st.none(), st.tuples(st.integers(0, 2), st.sampled_from(BROKEN))
+                     ).map(argv)
+
+
+def _argv():
+    def join(*parts):
+        return st.tuples(*parts).map(lambda ps: sum(ps, []))
+
+    filter_flags = join(st.sampled_from([["--filter", k.value] for k in FilterKind]),
+                        _optional("k", INTS), _optional("l", FLOATS),
+                        _optional("rho", FLOATS), _optional("sigma-r", FLOATS))
+    return st.one_of(
+        join(st.just(["synth"]), _optional("size", SIZES), _optional("seed", INTS)),
+        join(st.just(["warp"]), _inputs(("--source", "left"), ("--depth", "depth")),
+             _flag("scale", FLOATS),
+             st.sampled_from([[], ["--direction", "right-to-left"]])),
+        join(st.just(["denoise"]),
+             st.sampled_from(["--clean", "--noisy"]).flatmap(lambda src: _inputs(
+                 (src, "right"), ("--guide", "guide"), ("--mask", "mask"))),
+             filter_flags, _optional("patch", PATCHES), _optional("sigma", FLOATS),
+             _optional("seed", INTS), _optional("threads", INTS),
+             st.sampled_from([[], ["--check-oracle"]])),
+        join(st.just(["psnr"]), _inputs(("", "right"), ("", "left"))),
+        join(st.just(["spectral-response"]),
+             _inputs(("--guide", "guide"), ("--input", "right"), ("--mask", "mask")),
+             filter_flags, _optional("x0", INTS), _optional("y0", INTS),
+             _optional("size", INTS)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A 64x64 scene and its warp, written once, plus broken files."""
+    root = tmp_path_factory.mktemp("fuzz")
+    scene_dir, warp_dir = root / "scene", root / "warp"
+    assert main(["synth", "--out", str(scene_dir), "--size", "64"]) == 0
+    assert main(["warp", "--source", str(scene_dir / "left.pgm"),
+                 "--depth", str(scene_dir / "depth.pgm"), "--scale", str(DEPTH_SCALE),
+                 "--out", str(warp_dir)]) == 0
+    files = {"left": scene_dir / "left.pgm", "right": scene_dir / "right.pgm",
+             "depth": scene_dir / "depth.pgm", "guide": warp_dir / "guide.pgm",
+             "mask": warp_dir / "mask.pbm"}
+    files.update({name: root / name for name in BROKEN})
+    right = files["right"].read_bytes()
+    files["truncated"].write_bytes(right[: len(right) // 2])
+    files["maxval0"].write_bytes(b"P5\n64 64\n0\n" + bytes(64 * 64))
+    write_pgm(files["pgm16"], np.full((64, 64), 300), maxval=65535)
+    write_pbm(files["small_mask"], np.zeros((32, 32), bool))
+    files["empty"].write_bytes(b"")
+    return root, {name: str(path) for name, path in files.items()}
+
+
+SCENE_INPUTS = ["--clean", "{right}", "--guide", "{guide}", "--mask", "{mask}"]
+
+
+class TestCliFuzz:
+    @settings(max_examples=300)
+    @given(argv=_argv())
+    @example(argv=["denoise", *SCENE_INPUTS, "--filter", "poly", "--rho=inf"])
+    @example(argv=["denoise", *SCENE_INPUTS, "--filter", "gbjbf", "--rho=inf"])
+    @example(argv=["denoise", *SCENE_INPUTS, "--filter", "cheb", "--sigma=1e308"])
+    @example(argv=["denoise", *SCENE_INPUTS, "--filter", "cheb", "--sigma-r=1e-154"])
+    @example(argv=["spectral-response", "--guide", "{guide}", "--input", "{right}",
+                   "--filter", "cheb", "--sigma-r=1e-154"])
+    @example(argv=["denoise", *SCENE_INPUTS, "--filter", "gbjbf", "--patch=1000000"])
+    # the dense references and spectral-response's unwrapped fast paths
+    # at a rho whose rho * lambda^2 overflows
+    @example(argv=["denoise", *SCENE_INPUTS, "--filter", "poly", "--rho=1e308",
+                   "--patch=8", "--check-oracle"])
+    @example(argv=["spectral-response", "--guide", "{guide}", "--input", "{right}",
+                   "--filter", "poly", "--rho=1e308"])
+    @example(argv=["spectral-response", "--guide", "{guide}", "--input", "{right}",
+                   "--filter", "gbjbf", "--rho=1e308"])
+    def test_exit_code_contract(self, fuzz_files, argv):
+        root, files = fuzz_files
+        out = Path(tempfile.mkdtemp(dir=root)) / "out"
+        argv = [a.format(**files) for a in argv]
+        if argv[0] != "psnr":
+            argv += ["--out", str(out)]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            try:
+                rc = main(argv)
+            except SystemExit as e:     # argparse's usage errors
+                rc = e.code
+        err = err.getvalue()
+        assert rc in (0, 2, 3, 4), (argv, rc, err)
+        assert "Traceback" not in err and "Warning" not in err, (argv, err)
+        if rc != 0:
+            assert not out.exists() or (out.is_dir() and not any(out.iterdir())) \
+                or (out.is_file() and out.stat().st_size == 0), argv
