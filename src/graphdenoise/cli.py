@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "patches are filtered in one pass)")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle",
                    help="verify every patch against the dense oracle "
-                        "(requires --patch <= 32)")
+                        "(requires --patch <= 32 and, for cheb, cg and cg0, "
+                        "a capped --k)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("psnr", help="print PSNR between two images (dB)")
@@ -132,8 +133,13 @@ def cmd_denoise(args) -> int:
     weights = WeightParams(sigma_r=args.sigma_r)
     if args.patch < pipeline.MIN_PATCH_SIZE:
         raise ValueError(f"--patch must be >= {pipeline.MIN_PATCH_SIZE}")
-    if args.check_oracle and args.patch > _SPECTRAL_PATCH_CAP:
-        raise ValueError("--check-oracle requires --patch <= 32")
+    if args.check_oracle:
+        if args.patch > _SPECTRAL_PATCH_CAP:
+            raise ValueError("--check-oracle requires --patch <= 32")
+        cap = FILTERS[spec.kind].check_max_k
+        if spec.k > cap:
+            raise ValueError(f"--check-oracle with --filter {spec.kind.value} "
+                             f"requires --k <= {cap}")
     noise = (None if args.clean is None
              else pipeline.NoiseSpec(sigma=args.sigma, seed=args.seed))
     guide = load_image(args.guide)
@@ -248,8 +254,14 @@ _COMMANDS = {
 }
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (FileFormatError, DimensionMismatchError, ValueError) as e:

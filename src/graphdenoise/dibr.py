@@ -3,9 +3,11 @@
 The warp is backward and purely horizontal (rectified stereo): every target
 pixel [u, v] samples the source view at u' = u +- disparity[v, u],
 quantized to the quarter-pel grid.  Fractional positions use the standard
-H.265/HEVC 8-tap (half-pel) and 7-tap (quarter-pel) luma kernels.  A target
-pixel becomes a hole when its source position leaves the image or when a
-pixel with sufficiently larger disparity lands on (almost) the same source
+H.265/HEVC 8-tap (half-pel) and 7-tap (quarter-pel) luma kernels, each run
+only on the windows of the pixels at its phase, so a phase no pixel has
+costs nothing; whole-pel pixels copy their source sample.  A target pixel
+becomes a hole when its source position leaves the image or when a pixel
+with sufficiently larger disparity lands on (almost) the same source
 position -- a simple deterministic z-ordering proxy for occlusion.
 
 Pixel j covers pixel i of its row when |u'_j - u'_i| <= 0.75 and
@@ -149,21 +151,24 @@ def warp_guide(source: ImageGray, depth: DepthMap, params: WarpParams) -> WarpRe
     hole = (q4 < 0) | (q4 > 4 * (w - 1))
     _mark_covered(hole, up, d, left_to_right)
 
-    # window b of a row is its samples b-3 .. b+4, boundary pixels replicated;
-    # each phase is interpolated at every integer position of the source,
-    # which costs less time and memory than gathering the windows
-    windows = sliding_window_view(np.pad(src, ((0, 0), (3, 4)), mode="edge"), 8, axis=1)
+    # window b of a row is its samples b-3 .. b+4, boundary pixels replicated:
+    # the 8 flat samples of the padded source from row * (w + 7) + b on.
+    # A fractional phase gathers only its own pixels' windows (none when no
+    # pixel has it); phase 0 reads their centre samples in place.
+    windows = sliding_window_view(np.pad(src, ((0, 0), (3, 4)), mode="edge").reshape(-1), 8)
     guide = np.zeros(src.shape, dtype=np.float64)
     phase_counts = np.zeros(4, dtype=np.int64)
-    # each pixel's phase (-1 for a hole) and the flat index of its window
+    # each pixel's phase (-1 for a hole) and the flat start of its window
     label = np.bitwise_and(q4, 3, out=np.empty(q4.shape, np.int8))
     label[hole] = -1
     q4 >>= 2
-    q4 += np.arange(0, q4.size, w)[:, None]
+    q4 += (w + 7) * np.arange(len(q4))[:, None]
     for p, phase in enumerate(PHASES):
         sel = label == p
-        guide[sel] = interp_subpel(windows, phase).reshape(-1)[q4[sel]]
-        phase_counts[p] = np.count_nonzero(sel)
+        starts = q4[sel]
+        guide[sel] = (interp_subpel(windows, phase)[starts] if p == 0
+                      else interp_subpel(windows[starts], phase))
+        phase_counts[p] = starts.size
 
     return WarpResult(
         guide=ImageGray.from_array(guide),

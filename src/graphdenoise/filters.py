@@ -259,10 +259,17 @@ def cg_filter(L: NormalizedLaplacian, b: np.ndarray, k: int, variant: str = "cg"
 class FilterDef:
     """One filter kind.  Both functions map (spec, L, x) to the filtered
     normalized-domain signal: ``fast`` is the vertex-domain path the
-    pipeline runs, ``reference`` the dense oracle it must match."""
+    pipeline runs, ``reference`` the dense oracle it must match.
+    ``check_max_k`` is the largest k at which the two agree to the 1e-6
+    of ``denoise --check-oracle`` on the bundled scene, at the default
+    flags and every patch size the check allows; above it they lose
+    accuracy in different ways (the explicit Krylov basis, the
+    high-degree root product), so a correct run would read as a numeric
+    failure."""
 
     fast: Callable[[FilterSpec, NormalizedLaplacian, np.ndarray], np.ndarray]
     reference: Callable[[FilterSpec, NormalizedLaplacian, np.ndarray], np.ndarray]
+    check_max_k: int = MAX_K
 
 
 def _exact(h):
@@ -284,13 +291,16 @@ FILTERS: dict[FilterKind, FilterDef] = {
             lambda spec, lam: poly_expand_gbjbf(spec.k, spec.rho).evaluate(lam))),
     FilterKind.K_CHEB: FilterDef(
         fast=lambda spec, L, x: cheb_filter(L, x, cheb_design(spec.k, spec.l)),
-        reference=_exact(lambda spec, lam: cheb_design(spec.k, spec.l).response(lam))),
+        reference=_exact(lambda spec, lam: cheb_design(spec.k, spec.l).response(lam)),
+        check_max_k=82),
     FilterKind.K_CG: FilterDef(
         fast=lambda spec, L, x: cg_filter(L, x, spec.k, "cg"),
-        reference=lambda spec, L, x: krylov_minimize(L, x, x, spec.k)),
+        reference=lambda spec, L, x: krylov_minimize(L, x, x, spec.k),
+        check_max_k=7),
     FilterKind.K_CG0: FilterDef(
         fast=lambda spec, L, x: cg_filter(L, x, spec.k, "cg0"),
-        reference=lambda spec, L, x: krylov_minimize(L, x, np.zeros_like(x), spec.k)),
+        reference=lambda spec, L, x: krylov_minimize(L, x, np.zeros_like(x), spec.k),
+        check_max_k=13),
 }
 
 

@@ -23,16 +23,23 @@ filters every patch at once this way, and a ``PixelGraph`` gives one row.
 Inner products come one per row (one ``vecdot``, ragged rows gathered),
 so the one per-segment CG loop, ``conjugate_gradients``, shared by the CG
 filters and the gbjbf solve, keeps one step size per graph, broadcast.
+
+``scipy.sparse`` is imported only where a matrix is assembled
+(``normalized_laplacian`` and ``pipeline.block_operator``), so a process
+that builds no operator never loads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, NumericError
 from .image import HoleMask, ImageGray, _frozen, check_same_shape
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Dense materialization is only for oracle-scale graphs.
 DENSE_NODE_CAP = 8192
@@ -262,6 +269,8 @@ def conjugate_gradients(L: NormalizedLaplacian, op, x: np.ndarray, r: np.ndarray
 
 
 def normalized_laplacian(g: PixelGraph) -> NormalizedLaplacian:
+    import scipy.sparse as sp
+
     deg = g.degrees
     noniso = deg > 0
     inv_sqrt = np.zeros_like(deg)

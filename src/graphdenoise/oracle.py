@@ -11,6 +11,10 @@ One fast path lives here too: ``gbjbf_exact``, the conjugate-gradient solve
 of the regularized system through ``graph.conjugate_gradients``, which
 never eigendecomposes.  It stays in this module because the benchmark's
 tracer wraps it here by name.
+
+``scipy.linalg`` is imported inside ``dense_eig``, its one user, so the
+fast paths, and every command but ``denoise --check-oracle`` and
+``spectral-response``, run without loading it.
 """
 from __future__ import annotations
 
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, NumericError
 from .graph import NormalizedLaplacian, conjugate_gradients
@@ -48,6 +51,8 @@ def dense_eig(L: NormalizedLaplacian) -> EigenDecomposition:
     the column max is positive, keeping golden files stable.  ``L.dense()``
     enforces the node cap.
     """
+    import scipy.linalg
+
     try:
         lam, u = scipy.linalg.eigh(L.dense())
     except scipy.linalg.LinAlgError as e:

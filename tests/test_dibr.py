@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +192,33 @@ class TestWarpGuide:
         # any disparity that leaves the image far behind gives the same warp
         disp[1, 20] = 1e6
         _assert_same_warp(res, _warp_guide_loop(src, DepthMap.from_array(disp), params))
+
+    @pytest.mark.parametrize("direction", ["left_to_right", "right_to_left"])
+    def test_bundled_scene_with_absent_phases_matches_per_row_loop(self, direction):
+        from graphdenoise import synth_scene
+
+        sc = synth_scene(size=128)
+        params = WarpParams(direction=direction)
+        res = warp_guide(sc.left, sc.depth, params)
+        # whole- and half-pel disparities only: phases 0.25 and 0.75 have no pixels
+        assert res.phase_counts[0] > 0 and res.phase_counts[2] > 0
+        assert res.phase_counts[1] == res.phase_counts[3] == 0
+        _assert_same_warp(res, _warp_guide_loop(sc.left, sc.depth, params))
+
+    @pytest.mark.parametrize("seed", [101, 102])
+    @pytest.mark.parametrize("direction", ["left_to_right", "right_to_left"])
+    def test_ramp_with_all_four_phases_matches_per_row_loop(self, monkeypatch, seed,
+                                                            direction):
+        # the benchmark's generated ramp: its depth map reaches all four phases
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import ramp_inputs
+
+        left, right, depth, _ = ramp_inputs(seed)
+        params = WarpParams(direction=direction)
+        source = left if direction == "left_to_right" else right
+        res = warp_guide(source, depth, params)
+        assert np.all(res.phase_counts > 0)
+        _assert_same_warp(res, _warp_guide_loop(source, depth, params))
 
     def test_mask_iff_isolated_after_build(self):
         from graphdenoise import synth_scene

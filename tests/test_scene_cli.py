@@ -249,6 +249,36 @@ class TestCli:
                    "--check-oracle", "--out", str(tmp_path / "chk2")])
         assert rc == 2
 
+    @pytest.mark.parametrize("kind", ["cheb", "cg", "cg0"])
+    def test_check_oracle_holds_at_the_k_cap_of_the_bundled_scene(self, tmp_path, kind):
+        cap = FILTERS[FilterKind(kind)].check_max_k
+        assert cap < 256
+        # the bundled scene at the patch size that binds every cap
+        scene_dir = tmp_path / "scene"
+        assert main(["synth", "--out", str(scene_dir)]) == 0
+        warp_dir = self._warp(tmp_path, scene_dir)
+        inputs = ["denoise", "--clean", str(scene_dir / "right.pgm"),
+                  "--guide", str(warp_dir / "guide.pgm"),
+                  "--mask", str(warp_dir / "mask.pbm"), "--filter", kind,
+                  "--patch", "8", "--check-oracle"]
+        assert main([*inputs, "--k", str(cap), "--out", str(tmp_path / "at")]) == 0
+
+    @pytest.mark.parametrize("kind", list(FilterKind))
+    def test_check_oracle_k_above_the_cap_is_usage_error(self, tmp_path, capsys, kind):
+        cap = FILTERS[kind].check_max_k
+        missing = str(tmp_path / "missing.pgm")
+        out = tmp_path / "run"
+        argv = ["denoise", "--clean", missing, "--guide", missing,
+                "--mask", str(tmp_path / "missing.pbm"), "--filter", kind.value,
+                "--patch", "32", "--check-oracle", "--out", str(out)]
+        if cap < 256:
+            # rejected before any input is read: the inputs do not exist
+            assert main([*argv, "--k", str(cap + 1)]) == 2
+            assert f"--k <= {cap}" in capsys.readouterr().err
+        # at the cap the run goes on to read its (missing) inputs
+        assert main([*argv, "--k", str(cap)]) == 3
+        assert not out.exists()
+
     def test_spectral_response_csv(self, tmp_path):
         scene_dir = self._synth(tmp_path)
         warp_dir = self._warp(tmp_path, scene_dir)
@@ -576,6 +606,33 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--out", str(tmp_path), "--bogus", "1"])
         assert exc.value.code == 2
+
+    def test_the_parser_is_built_once_and_a_usage_error_leaves_no_state(self, tmp_path):
+        from graphdenoise import cli
+
+        scene_dir = self._synth(tmp_path)
+        left, right = str(scene_dir / "left.pgm"), str(scene_dir / "right.pgm")
+        conflict = ["denoise", "--noisy", left, "--clean", right, "--guide", left,
+                    "--mask", "m.pbm", "--filter", "jbf", "--out", str(tmp_path / "o")]
+        calls = [conflict, ["psnr", left, right], ["synth", "--bogus"],
+                 ["psnr", right, right]]
+
+        def run(argv, fresh):
+            if fresh:
+                cli._parser.cache_clear()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as e:     # argparse's usage errors
+                    rc = e.code
+            return rc, out.getvalue(), err.getvalue()
+
+        cli._parser.cache_clear()
+        in_a_row = [run(argv, fresh=False) for argv in calls]
+        assert cli._parser.cache_info().misses == 1
+        assert [rc for rc, _, _ in in_a_row] == [2, 0, 2, 0]
+        assert in_a_row == [run(argv, fresh=True) for argv in calls]
 
     def test_mismatched_inputs_leave_no_partial_outputs(self, tmp_path):
         scene_dir = self._synth(tmp_path, size=96)
