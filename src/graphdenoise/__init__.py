@@ -12,16 +12,16 @@ every fast path.
 from .errors import (DimensionMismatchError, FileFormatError,
                      GraphDenoiseError, NumericError)
 from .filters import (ChebDesign, FilterKind, FilterSpec, PolyExpansion,
-                      apply_filter, cg_filter, cheb_design, cheb_filter, jbf,
-                      poly_expand_gbjbf, poly_filter, quadratic_objective)
+                      apply_filter, cg_filter, cheb_design, cheb_filter,
+                      gbjbf_degree, jbf, poly_expand_gbjbf, poly_filter,
+                      quadratic_objective)
 from .graph import (NormalizedLaplacian, PixelGraph, WeightParams, build_graph,
                     denormalize_signal, normalize_signal, normalized_laplacian)
 from .image import HoleMask, ImageGray
 from .dibr import (DepthMap, WarpParams, WarpResult, interp_subpel,
                    median_fill, warp_guide)
 from .oracle import (EigenDecomposition, SpectralResponse, dense_eig,
-                     exact_filter, gbjbf_exact, krylov_minimize,
-                     measure_response)
+                     exact_filter, krylov_minimize, measure_response)
 from .pipeline import (DenoiseReport, NoiseSpec, PatchGrid,
                        add_gaussian_noise, denoise, psnr, split_patches)
 from .scene import StereoScene, synth_scene
@@ -36,7 +36,7 @@ __all__ = [
     "PolyExpansion", "SpectralResponse", "StereoScene", "WarpParams",
     "WarpResult", "WeightParams", "add_gaussian_noise", "apply_filter",
     "build_graph", "cg_filter", "cheb_design", "cheb_filter", "denoise",
-    "denormalize_signal", "dense_eig", "exact_filter", "gbjbf_exact",
+    "denormalize_signal", "dense_eig", "exact_filter", "gbjbf_degree",
     "interp_subpel", "jbf", "krylov_minimize", "measure_response",
     "median_fill", "normalize_signal", "normalized_laplacian",
     "poly_expand_gbjbf", "poly_filter", "psnr", "quadratic_objective",

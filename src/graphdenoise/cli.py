@@ -31,7 +31,9 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=3,
                    help=f"degree / iteration count (1 to {MAX_K})")
     p.add_argument("--l", type=float, default=0.5, help="stop-band start (cheb)")
-    p.add_argument("--rho", type=float, default=2.0, help="regularization (gbjbf/poly)")
+    p.add_argument("--rho", type=float, default=2.0,
+                   help="regularization (gbjbf/poly); gbjbf takes rho up to about "
+                        f"5170, where its series degree reaches {MAX_K}")
     p.add_argument("--sigma-r", type=float, default=10.0, dest="sigma_r",
                    help="bilateral intensity kernel width")
 

@@ -4,16 +4,18 @@ All filters here touch the operator only through Laplacian-vector products,
 so cost is O(k (n + edges)) for a degree/iteration budget k:
 
 * ``jbf``        -- the one-step neighborhood average b - L b.
-* ``poly_filter``-- truncated Chebyshev-series approximation of the
-                    closed-form regularized filter 1/(1 + rho lambda^2).
+* ``poly_filter``-- truncated Chebyshev series of the closed-form
+                    regularized filter 1/(1 + rho lambda^2): ``poly`` at
+                    degree k, ``gbjbf`` at the degree ``gbjbf_degree(rho)``
+                    whose coefficient tail is <= 1e-13.
 * ``cheb_filter``-- minimax low-pass polynomial whose roots are Chebyshev
                     roots mapped onto a stop band [l, 2], scaled to unit
                     response at eigenvalue 0, applied as a root-product
                     iteration.
 * ``cg_filter``  -- k conjugate-gradient iterations on the quadratic
                     x^T L x - 2 x^T f, an input-adaptive Krylov-subspace
-                    low-pass (``graph.conjugate_gradients``, the loop
-                    gbjbf's solve runs too, with a breakdown stop).
+                    low-pass (``conjugate_gradients``, one step size per
+                    segment, with a breakdown stop).
 
 ``FILTERS`` maps each ``FilterKind`` to its normalized-domain fast path and
 its dense oracle reference; ``apply_filter`` dispatches through it and owns
@@ -23,6 +25,7 @@ individual filters compose freely.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,11 +33,9 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .errors import DimensionMismatchError, NumericError
-from .graph import (NormalizedLaplacian, conjugate_gradients, denormalize_signal,
-                    normalize_signal)
+from .graph import NormalizedLaplacian, denormalize_signal, normalize_signal
 from .image import _frozen
-from .oracle import (dense_eig, exact_filter, gbjbf_exact, gbjbf_response,
-                     krylov_minimize)
+from .oracle import dense_eig, exact_filter, gbjbf_response, krylov_minimize
 
 # Largest degree / iteration count a FilterSpec accepts: the cost of
 # poly's series design grows as k^2 and every filter's as k.
@@ -60,7 +61,9 @@ class FilterSpec:
 
     k is the polynomial degree / iteration count, 1 to MAX_K (unused by JBF
     and GBJBF), l the stop-band start for the minimax filter, rho the
-    regularization weight for GBJBF and its polynomial approximation.
+    regularization weight for GBJBF and its polynomial approximation.  GBJBF
+    takes a rho whose series degree ``gbjbf_degree(rho)`` is at most MAX_K,
+    rho up to about 5170.
     """
 
     kind: FilterKind
@@ -77,6 +80,9 @@ class FilterSpec:
             raise ValueError("stop-band start l must lie in (0, 2)")
         if not 0 < self.rho < np.inf:
             raise ValueError("rho must be finite and > 0")
+        if self.kind is FilterKind.GBJBF and gbjbf_degree(self.rho) > MAX_K:
+            raise ValueError(f"gbjbf takes rho up to about 5170, where its series "
+                             f"degree reaches {MAX_K}; got rho {self.rho:g}")
 
 
 def jbf(L: NormalizedLaplacian, b: np.ndarray) -> np.ndarray:
@@ -143,7 +149,8 @@ def cheb_filter(L: NormalizedLaplacian, b: np.ndarray, design: ChebDesign) -> np
 @dataclass(frozen=True)
 class PolyExpansion:
     """Chebyshev-series coefficients c_0..c_k in the basis T_j(lambda - 1),
-    approximating 1/(1 + rho lambda^2) on [0, 2]."""
+    approximating 1/(1 + rho lambda^2) on [0, 2]: the ``poly`` filter at
+    k = spec.k and the ``gbjbf`` filter at k = ``gbjbf_degree(rho)``."""
 
     k: int
     rho: float
@@ -158,11 +165,13 @@ class PolyExpansion:
 
 
 def poly_expand_gbjbf(k: int, rho: float) -> PolyExpansion:
-    """Series coefficients by Gauss-Chebyshev quadrature.
+    """Degree-k Chebyshev series of gbjbf's response 1/(1 + rho lambda^2),
+    coefficients by Gauss-Chebyshev quadrature.
 
     Under lambda = 1 + cos(theta) the coefficients are cosine moments of
     the target; max(64, 8k) nodes are spectrally accurate for this smooth
-    target.  rho = 0 (a constant target) is accepted for testing.
+    target.  At k = ``gbjbf_degree(rho)`` the series is the gbjbf filter
+    itself.  rho = 0 (a constant target) is accepted for testing.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -176,6 +185,28 @@ def poly_expand_gbjbf(k: int, rho: float) -> PolyExpansion:
     c = (2.0 / m) * (np.cos(j * theta[None, :]) @ f)
     c[0] *= 0.5
     return PolyExpansion(k=k, rho=rho, coeffs=c)
+
+
+def gbjbf_degree(rho: float) -> int:
+    """Smallest degree K whose Chebyshev coefficients beyond K sum to at
+    most 1e-13, which bounds the sup error of gbjbf's truncated series on
+    [0, 2].
+
+    In t = lambda - 1 the response has poles a = -1 +- i s, s = 1/sqrt(rho),
+    and |c_j| <= C r^j with C = 2 sqrt(s) / (4 + s^2)^(1/4) and r = e^-eta,
+    eta = acosh of the Bernstein ellipse's semi-major axis
+    (|a - 1| + |a + 1|) / 2 through the poles.  The tail beyond K is then
+    C r^(K+1) / (1 - r).  Every step is free of overflow and cancellation
+    for any finite rho > 0, so the degree is finite (and huge for huge rho).
+    """
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be finite and > 0")
+    s = 1.0 / math.sqrt(rho)
+    h = math.hypot(2.0, s)                   # |a - 1|; |a + 1| = s
+    d = 0.5 * (s + s * (s / (h + 2.0)))      # semi-major axis - 1
+    eta = math.log1p(d + math.sqrt(d) * math.sqrt(d + 2.0))
+    c = 2.0 * math.sqrt(s / h)
+    return max(1, math.ceil(math.log(c / (1e-13 * -math.expm1(-eta))) / eta - 1.0))
 
 
 def poly_filter(L: NormalizedLaplacian, b: np.ndarray, p: PolyExpansion) -> np.ndarray:
@@ -221,6 +252,53 @@ class CGInfo:
         object.__setattr__(self, "breakdown", _frozen(np.asarray(self.breakdown, bool)))
 
 
+def conjugate_gradients(L: NormalizedLaplacian, x: np.ndarray, r: np.ndarray,
+                        live: np.ndarray, steps: int):
+    """At most ``steps`` conjugate-gradient (Hestenes-Stiefel) steps on
+    L x = c from iterate x with residual r = c - L x, on the segments
+    flagged ``live``.
+
+    Each segment has its own step sizes and stop, and a stopped segment is
+    never stepped again, so its result is bit-identical to running on its
+    graph alone.  A segment stops without stepping at curvature
+    p^T L p <= CG_BREAKDOWN_RTOL |p|^2 (a nullspace direction, never
+    divided by).  x, r and p are stepped in place in the loop's own
+    (segments, slab) copies: it writes no array of the caller's nor any
+    ``L.apply`` returns.
+
+    Returns (x, iterations, breakdown), the last two per segment: steps
+    taken, broke down.
+    """
+    live = live.copy()
+    iterations = np.zeros(live.shape, np.int64)
+    breakdown = np.zeros(live.shape, bool)
+
+    def ratio(num, den):   # per row: its segment's num / den if live, else 0
+        return np.divide(num, den, out=np.zeros_like(num), where=live)[:, None]
+
+    x, r = np.array(L.rows(x), np.float64), np.array(L.rows(r), np.float64)
+    p, tmp = r.copy(), np.empty_like(r)
+    rr = L.dot(r, r)
+    for _ in range(steps):
+        if not live.any():
+            break
+        ap = L.rows(L.apply(p.reshape(-1)))
+        curv = L.dot(p, ap)
+        broke = live & (curv <= CG_BREAKDOWN_RTOL * L.dot(p, p))
+        breakdown |= broke
+        live &= ~broke
+        alpha = ratio(rr, curv)
+        # the mask keeps a stopped segment unwritten; unmasked adds are faster
+        np.add(x, np.multiply(alpha, p, out=tmp), out=x,
+               where=True if live.all() else live[:, None])
+        np.subtract(r, np.multiply(alpha, ap, out=tmp), out=r)
+        rr_new = L.dot(r, r)
+        np.add(r, np.multiply(ratio(rr_new, rr), p, out=p), out=p)
+        rr = rr_new
+        iterations += live
+    return x.reshape(-1), iterations, breakdown
+
+
 def cg_filter(L: NormalizedLaplacian, b: np.ndarray, k: int, variant: str = "cg",
               return_info: bool = False):
     """k Hestenes-Stiefel conjugate-gradient iterations on x^T L x - 2 x^T f.
@@ -234,7 +312,7 @@ def cg_filter(L: NormalizedLaplacian, b: np.ndarray, k: int, variant: str = "cg"
     lies numerically in the Laplacian nullspace; iteration stops there and
     the current iterate is returned (the degenerate curvature is never
     divided by).  A vanishing initial residual returns b unchanged.  Each
-    segment of L runs its own iteration (``graph.conjugate_gradients``).
+    segment of L runs its own iteration (``conjugate_gradients``).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -246,8 +324,7 @@ def cg_filter(L: NormalizedLaplacian, b: np.ndarray, k: int, variant: str = "cg"
     f = b if variant == "cg" else np.zeros_like(b)
     r = f - L.apply(b)
     live = ~(L.norm(r) <= 1e-14 * L.norm(b))
-    x, _, _, done, breakdown = conjugate_gradients(
-        L, L.apply, b, r, live, k, breakdown_rtol=CG_BREAKDOWN_RTOL)
+    x, done, breakdown = conjugate_gradients(L, b, r, live, k)
     info = CGInfo(iterations=done, breakdown=breakdown)
     return (x, info) if return_info else x
 
@@ -283,7 +360,8 @@ FILTERS: dict[FilterKind, FilterDef] = {
         fast=lambda spec, L, x: jbf(L, x),
         reference=_exact(lambda spec, lam: 1.0 - lam)),
     FilterKind.GBJBF: FilterDef(
-        fast=lambda spec, L, x: gbjbf_exact(L, spec.rho, x),
+        fast=lambda spec, L, x: poly_filter(
+            L, x, poly_expand_gbjbf(gbjbf_degree(spec.rho), spec.rho)),
         reference=_exact(lambda spec, lam: gbjbf_response(spec.rho)(lam))),
     FilterKind.K_POLY: FilterDef(
         fast=lambda spec, L, x: poly_filter(L, x, poly_expand_gbjbf(spec.k, spec.rho)),

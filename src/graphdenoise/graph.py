@@ -21,8 +21,8 @@ trip.  An operator may be block diagonal over several disjoint graphs, its
 *segments*, the rows of a (segments, slab) view: the image pipeline
 filters every patch at once this way, and a ``PixelGraph`` gives one row.
 Inner products come one per row (one ``vecdot``, ragged rows gathered),
-so the one per-segment CG loop, ``conjugate_gradients``, shared by the CG
-filters and the gbjbf solve, keeps one step size per graph, broadcast.
+so the CG filters' loop (``filters.conjugate_gradients``) keeps one step
+size per graph, broadcast.
 
 ``scipy.sparse`` is imported only where a matrix is assembled
 (``normalized_laplacian`` and ``pipeline.block_operator``), so a process
@@ -212,60 +212,6 @@ class NormalizedLaplacian:
     def norm(self, x: np.ndarray) -> np.ndarray:
         """Euclidean norm per segment (as ``np.linalg.norm`` computes it)."""
         return np.sqrt(self.dot(x, x))
-
-
-def conjugate_gradients(L: NormalizedLaplacian, op, x: np.ndarray, r: np.ndarray,
-                        live: np.ndarray, steps: int, tol=None, breakdown_rtol=None):
-    """At most ``steps`` conjugate-gradient (Hestenes-Stiefel) steps on
-    op(x) = c, op symmetric and block diagonal like L, from iterate x with
-    residual r = c - op(x), on the segments flagged ``live``.
-
-    Each segment has its own step sizes and stop, and a stopped segment is
-    never stepped again, so its result is bit-identical to running on its
-    graph alone.  Stop rules (None turns one off): ``tol``, per segment,
-    stops at residual norm <= tol, checked before every step, and raises
-    ``NumericError`` on a non-finite one; ``breakdown_rtol`` stops without
-    stepping at curvature p^T op(p) <= breakdown_rtol |p|^2 (a nullspace
-    direction, never divided by).  x, r and p are stepped in place in the
-    loop's own (segments, slab) copies: it writes no array of the caller's
-    nor any op returns, and op must neither write nor return its argument.
-
-    Returns (x, rr, live, iterations, breakdown), the last four per
-    segment: squared residual norm, still live, steps taken, broke down.
-    """
-    live = live.copy()
-    iterations = np.zeros(live.shape, np.int64)
-    breakdown = np.zeros(live.shape, bool)
-
-    def ratio(num, den):   # per row: its segment's num / den if live, else 0
-        return np.divide(num, den, out=np.zeros_like(num), where=live)[:, None]
-
-    x, r = np.array(L.rows(x), np.float64), np.array(L.rows(r), np.float64)
-    p, tmp = r.copy(), np.empty_like(r)
-    rr = L.dot(r, r)
-    for _ in range(steps):
-        if tol is not None:
-            if not np.all(np.isfinite(rr[live])):
-                raise NumericError("conjugate gradients: the residual norm is not finite")
-            live &= ~(np.sqrt(rr) <= tol)
-        if not live.any():
-            break
-        ap = L.rows(op(p.reshape(-1)))
-        curv = L.dot(p, ap)
-        if breakdown_rtol is not None:
-            broke = live & (curv <= breakdown_rtol * L.dot(p, p))
-            breakdown |= broke
-            live &= ~broke
-        alpha = ratio(rr, curv)
-        # the mask keeps a stopped segment unwritten; unmasked adds are faster
-        np.add(x, np.multiply(alpha, p, out=tmp), out=x,
-               where=True if live.all() else live[:, None])
-        np.subtract(r, np.multiply(alpha, ap, out=tmp), out=r)
-        rr_new = L.dot(r, r)
-        np.add(r, np.multiply(ratio(rr_new, rr), p, out=p), out=p)
-        rr = rr_new
-        iterations += live
-    return x.reshape(-1), rr, live, iterations, breakdown
 
 
 def normalized_laplacian(g: PixelGraph) -> NormalizedLaplacian:

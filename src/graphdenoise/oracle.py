@@ -5,12 +5,7 @@ Everything here trades speed for trust: a full symmetric eigendecomposition
 functions, the closed-form regularized least-squares response, a brute-force
 Krylov-subspace minimizer, and empirical transfer-function measurement.
 These are the references every fast vertex-domain filter is validated
-against.
-
-One fast path lives here too: ``gbjbf_exact``, the conjugate-gradient solve
-of the regularized system through ``graph.conjugate_gradients``, which
-never eigendecomposes.  It stays in this module because the benchmark's
-tracer wraps it here by name.
+against; no fast path runs through this module.
 
 ``scipy.linalg`` is imported inside ``dense_eig``, its one user, so the
 fast paths, and every command but ``denoise --check-oracle`` and
@@ -24,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericError
-from .graph import NormalizedLaplacian, conjugate_gradients
+from .graph import NormalizedLaplacian
 from .image import _frozen, atomic_write_bytes
 
 
@@ -83,55 +78,6 @@ def gbjbf_response(rho: float):
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + rho * np.asarray(lam) ** 2)
     return h
-
-
-def gbjbf_exact(L: NormalizedLaplacian, rho: float, b: np.ndarray) -> np.ndarray:
-    """Solve (I + rho L^2) x = b to relative residual <= 1e-12.
-
-    Conjugate gradients (``graph.conjugate_gradients``, residual stop) on
-    the SPD operator, whose spectrum lies in [1, 1 + rho * 4], so no
-    eigendecomposition is needed; the dense reference is ``gbjbf_response``
-    through ``dense_eig``.  The contract is verified on the true residual
-    and the segments that miss it are solved once more from where they
-    stopped; a second miss, a solve that stalls within 1000 steps or a norm
-    that is not finite (an overflowing or non-finite b) raises
-    ``NumericError``.  Each segment of a block-diagonal L has its own step
-    sizes and contract, so its result is bit-identical to solving on its
-    graph alone.
-    """
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (L.n,):
-        raise DimensionMismatchError("signal/operator size mismatch")
-    if rho == 0 or not np.any(b):
-        return b.copy()
-
-    def op(v):     # v + rho L(Lv), built in the array L.apply returns
-        lv = L.apply(L.apply(v))
-        return np.add(np.multiply(lv, rho, out=lv), v, out=lv)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        bnorm = L.norm(b)
-    if not np.all(np.isfinite(bnorm)):
-        raise NumericError("regularized solve: the right-hand side norm is not finite")
-    tol = 1e-12 * bnorm
-    # an all-zero segment is its own solution (a boolean dot is "any")
-    nonzero = L.dot(b != 0, b != 0)
-
-    def solve(x, live):
-        # CG on the live segments, then the misses (a NaN residual is one)
-        x, rr, live, _, _ = conjugate_gradients(L, op, x, b - op(x), live, 1000, tol=tol)
-        if not np.all(np.sqrt(rr[live]) <= tol[live]):
-            raise NumericError("regularized solve stalled above relative residual 1e-12")
-        return x, nonzero & ~(L.norm(b - op(x)) <= tol)
-
-    x, miss = solve(np.where(nonzero[:, None], 0.0, L.rows(b)).reshape(-1), nonzero)
-    if miss.any():
-        x, miss = solve(x, miss)
-        if miss.any():
-            raise NumericError("regularized solve missed the 1e-12 residual contract")
-    return x
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from graphdenoise import (FilterKind, FilterSpec, NoiseSpec, WarpParams,
                           WeightParams, add_gaussian_noise, cg_filter,
                           cheb_design, cheb_filter, dense_eig, denoise,
-                          exact_filter, gbjbf_exact, jbf, krylov_minimize,
+                          exact_filter, gbjbf_degree, jbf, krylov_minimize,
                           measure_response, normalized_laplacian,
                           poly_expand_gbjbf, poly_filter, psnr,
                           quadratic_objective, synth_scene, warp_guide)
@@ -122,7 +122,8 @@ def test_criterion_4_hand_computed_vectors():
         ("1-cheb", cheb_filter(L, b, cheb_design(1, 0.5)), [0.2, 0.8]),
         ("1-cg", cg_filter(L, b, 1, "cg"), [1.0, 1.0]),
         ("1-cg0", cg_filter(L, b, 1, "cg0"), [0.5, 0.5]),
-        ("gbjbf rho=2", gbjbf_exact(L, 2.0, b), [5.0 / 9.0, 4.0 / 9.0]),
+        ("gbjbf rho=2", poly_filter(L, b, poly_expand_gbjbf(gbjbf_degree(2.0), 2.0)),
+         [5.0 / 9.0, 4.0 / 9.0]),
     ]
     worst = max(np.max(np.abs(np.asarray(got) - np.asarray(want)))
                 for _, got, want in cases)
@@ -142,7 +143,8 @@ def test_criterion_5_spectral_response_measurement():
     err_jbf = np.max(np.abs(r_jbf.h[r_jbf.valid]
                             - (1.0 - eig.eigenvalues)[r_jbf.valid]))
 
-    r_g = measure_response(lambda s: gbjbf_exact(L, 2.0, s), eig, b)
+    series = poly_expand_gbjbf(gbjbf_degree(2.0), 2.0)
+    r_g = measure_response(lambda s: poly_filter(L, s, series), eig, b)
     target = 1.0 / (1.0 + 2.0 * eig.eigenvalues**2)
     err_g = np.max(np.abs(r_g.h[r_g.valid] - target[r_g.valid]))
 

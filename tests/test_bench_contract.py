@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from graphdenoise import (FilterKind, FilterSpec, HoleMask, ImageGray,
-                          WarpParams, WeightParams, build_graph, pipeline,
-                          synth_scene, warp_guide)
+                          WarpParams, WeightParams, build_graph, gbjbf_degree,
+                          pipeline, synth_scene, warp_guide)
 from graphdenoise.graph import NormalizedLaplacian
 
 WRAPPED = [
@@ -23,7 +23,7 @@ WRAPPED = [
     ("pipeline", "denoise"), ("pipeline", "add_gaussian_noise"),
     ("pipeline", "psnr"), ("graph", "build_graph"),
     ("graph", "normalized_laplacian"), ("filters", "apply_filter"),
-    ("oracle", "gbjbf_exact"), ("oracle", "dense_eig"),
+    ("oracle", "dense_eig"),
 ]
 
 
@@ -57,9 +57,8 @@ def test_denoise_calls_read_as_the_tracer_reads_them(monkeypatch):
     sc = synth_scene(size=64, seed=3)
     wr = warp_guide(sc.left, sc.depth, WarpParams())
     assert wr.phase_counts.shape == (4,) and wr.mask.flags.sum() > 0
-    calls = {name: [] for name in ("apply_filter", "gbjbf_exact", "median_fill")}
+    calls = {name: [] for name in ("apply_filter", "median_fill")}
     _spy(monkeypatch, "filters", "apply_filter", calls["apply_filter"])
-    _spy(monkeypatch, "oracle", "gbjbf_exact", calls["gbjbf_exact"])
     _spy(monkeypatch, "dibr", "median_fill", calls["median_fill"])
     applies = []
     real_apply = NormalizedLaplacian.apply
@@ -75,10 +74,11 @@ def test_denoise_calls_read_as_the_tracer_reads_them(monkeypatch):
     assert report.n_patches == 4
     (args, _, _), = calls["apply_filter"]
     assert args[0].kind.value == "gbjbf"
-    assert len(calls["gbjbf_exact"]) == 1
     (args, _, _), = calls["median_fill"]
     assert int(args[1].flags.sum()) == int(wr.mask.flags.sum())
-    assert applies and all(nnz > 0 for nnz in applies)
+    assert all(nnz > 0 for nnz in applies)
+    # filters.gbjbf.applies_per_patch: the series degree at rho 2
+    assert len(applies) == gbjbf_degree(2.0) == 34
 
 
 @pytest.mark.parametrize("direction", ["left_to_right", "right_to_left"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 from graphdenoise import (FilterKind, FilterSpec, HoleMask, ImageGray,
                           NumericError, PixelGraph, WeightParams, apply_filter,
                           build_graph, cg_filter, cheb_design, cheb_filter,
-                          dense_eig, exact_filter, gbjbf_exact, jbf,
+                          dense_eig, exact_filter, gbjbf_degree, jbf,
                           krylov_minimize, normalize_signal, normalized_laplacian,
                           poly_expand_gbjbf, poly_filter, quadratic_objective)
 from graphdenoise.filters import MAX_K, ChebDesign, PolyExpansion
 from graphdenoise.graph import sqrt_degrees
+from graphdenoise.oracle import gbjbf_response
 from graphdenoise.pipeline import block_operator, patch_operator, split_patches
 
 from conftest import random_connected_graph, random_guide_patch, two_node_graph
@@ -146,6 +148,32 @@ class TestPolyExpansion:
         p = poly_expand_gbjbf(8, 2.0)
         lam = np.linspace(0, 2, 201)
         assert np.max(np.abs(p.evaluate(lam) - 1.0 / (1.0 + 2.0 * lam**2))) < 0.02
+
+
+class TestGbjbfDegree:
+    def test_degrees(self):
+        assert [gbjbf_degree(r) for r in (0.5, 2.0, 10.0, 100.0, 1000.0, 3000.0, 1e4)] \
+            == [24, 34, 52, 95, 170, 224, 303]
+
+    @pytest.mark.parametrize("rho", [1e-3, 0.5, 2.0, 100.0, 3000.0, 5170.0])
+    def test_series_meets_its_tail_bound(self, rho):
+        p = poly_expand_gbjbf(gbjbf_degree(rho), rho)
+        lam = np.linspace(0.0, 2.0, 20001)
+        assert np.max(np.abs(p.evaluate(lam) - gbjbf_response(rho)(lam))) <= 1e-13
+
+    def test_rho_whose_degree_exceeds_max_k_is_rejected(self):
+        assert gbjbf_degree(5170.0) <= MAX_K < gbjbf_degree(5180.0)
+        FilterSpec(FilterKind.GBJBF, rho=5170.0)
+        for rho in (5180.0, 1e308):
+            with pytest.raises(ValueError, match="5170"):
+                FilterSpec(FilterKind.GBJBF, rho=rho)
+        FilterSpec(FilterKind.K_POLY, rho=1e308)     # poly's degree is its k
+
+    def test_extreme_rho_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gbjbf_degree(5e-324) == 1
+            assert gbjbf_degree(1e308) > 10**70
 
 
 class TestPolyFilter:
@@ -362,7 +390,8 @@ class TestApplyFilter:
         out = apply_filter(FilterSpec(FilterKind.GBJBF, rho=2.0), L, b_hat)
         from graphdenoise import denormalize_signal
 
-        ref = denormalize_signal(g, gbjbf_exact(L, 2.0, normalize_signal(g, b_hat)))
+        series = poly_expand_gbjbf(gbjbf_degree(2.0), 2.0)
+        ref = denormalize_signal(g, poly_filter(L, normalize_signal(g, b_hat), series))
         np.testing.assert_array_equal(out, ref)
 
     @pytest.mark.parametrize("kind", list(FilterKind))

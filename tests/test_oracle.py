@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from graphdenoise import (FilterKind, FilterSpec, HoleMask, ImageGray,
-                          NumericError, PixelGraph, WeightParams, dense_eig,
-                          exact_filter, gbjbf_exact, jbf, measure_response,
+                          NormalizedLaplacian, NumericError, PixelGraph,
+                          WeightParams, apply_filter, dense_eig, exact_filter,
+                          filters, gbjbf_degree, jbf, measure_response,
                           normalized_laplacian, oracle)
 from graphdenoise.filters import FILTERS
-from graphdenoise.graph import conjugate_gradients, sqrt_degrees
+from graphdenoise.graph import sqrt_degrees
 from graphdenoise.oracle import gbjbf_response
-from graphdenoise.pipeline import block_operator, split_patches
+from graphdenoise.pipeline import block_operator, patch_operator, split_patches
 
 from conftest import path_graph, random_guide_patch, two_node_graph
 
@@ -87,84 +88,118 @@ class TestExactFilter:
             np.testing.assert_allclose(both, composed, atol=1e-9)
 
 
+def gbjbf(L, rho: float, b: np.ndarray) -> np.ndarray:
+    """gbjbf's fast path in the normalized domain: its Chebyshev series at
+    degree gbjbf_degree(rho)."""
+    return FILTERS[FilterKind.GBJBF].fast(FilterSpec(FilterKind.GBJBF, rho=rho), L, b)
+
+
+def two_patch_problem(rng):
+    """A 32x32 patch and a ragged 16x32 one as one block operator, plus
+    each patch's own operator."""
+    guide = ImageGray.from_array(rng.uniform(0, 255, (32, 48)))
+    mask = HoleMask.all_false(48, 32)
+    grid = split_patches(guide, 32)
+    L = block_operator(guide, mask, grid, WeightParams())
+    return L, [patch_operator(guide, mask, p, WeightParams()) for p in grid.patches]
+
+
 class TestGbjbfExact:
-    def test_rho_zero_is_identity(self, rng):
-        g, L = random_guide_patch(rng, 5, 5)
-        b = rng.normal(0, 1, g.n_nodes)
-        np.testing.assert_array_equal(gbjbf_exact(L, 0.0, b), b)
+    """gbjbf's fast path against the exact response 1/(1 + rho lambda^2)
+    through the dense oracle.  The conjugate-gradient solve it replaced
+    kept |b - (I + rho L^2) x| <= 1e-12 |b|, which bounds the error by
+    1e-12 |b| since I + rho L^2 >= I; the series keeps that residual at
+    rho 2 and the error bound at every rho tested."""
 
     def test_two_node_hand_value(self):
         L = normalized_laplacian(two_node_graph())
-        out = gbjbf_exact(L, 2.0, np.array([1.0, 0.0]))
+        out = gbjbf(L, 2.0, np.array([1.0, 0.0]))
         np.testing.assert_allclose(out, [5.0 / 9.0, 4.0 / 9.0], atol=1e-12)
 
     def test_nullvector_passes_through(self, rng):
         g, L = random_guide_patch(rng, 6, 4)
         v = sqrt_degrees(g)
-        np.testing.assert_allclose(gbjbf_exact(L, 2.0, v), v, atol=1e-10)
+        np.testing.assert_allclose(gbjbf(L, 2.0, v), v, atol=1e-10)
 
     @pytest.mark.parametrize("size", [10, 60])   # 100- and 3600-node systems
     def test_residual_contract(self, rng, size):
+        # at rho 2 the tail bound gives |r| <= (1 + 4 rho) 1e-13 |b|
         g, L = random_guide_patch(rng, size, size)
         b = rng.normal(0, 10, g.n_nodes)
-        x = gbjbf_exact(L, 2.0, b)
+        x = gbjbf(L, 2.0, b)
         resid = b - (x + 2.0 * L.apply(L.apply(x)))
         assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("size", [10, 60])   # 100- and 3600-node graphs
+    def test_error_against_dense_oracle(self, rng, size):
+        g, L = random_guide_patch(rng, size, size)
+        eig = dense_eig(L)
+        b = rng.normal(0, 10, g.n_nodes)
+        for rho in (0.5, 2.0, 100.0, 3000.0):
+            err = gbjbf(L, rho, b) - exact_filter(eig, gbjbf_response(rho), b)
+            assert np.linalg.norm(err) <= 1e-12 * np.linalg.norm(b), rho
+
     def test_fast_path_never_eigendecomposes(self, rng, monkeypatch):
+        # each segment's reference comes first, from its own operator
+        _, single = random_guide_patch(rng, 10, 10)
+        block, patches = two_patch_problem(rng)
+        cases = []
+        for L, parts in ((single, [single]), (block, patches)):
+            b = rng.normal(0, 10, L.n)
+            refs = [exact_filter(dense_eig(Lp), gbjbf_response(2.0), bi[s])
+                    for Lp, bi, s in zip(parts, L.rows(b), L.segments)]
+            cases.append((L, b, refs))
+
         def forbidden(L):
             raise AssertionError("gbjbf's fast path eigendecomposed")
 
         monkeypatch.setattr(oracle, "dense_eig", forbidden)
-        _, single = random_guide_patch(rng, 10, 10)
-        guide = ImageGray.from_array(rng.uniform(0, 255, (48, 64)))
-        block = block_operator(guide, HoleMask.all_false(64, 48),
-                                  split_patches(guide, 48), WeightParams())
-        spec = FilterSpec(FilterKind.GBJBF)
-        for L in (single, block):
-            b = rng.normal(0, 10, L.n)
-            x = FILTERS[FilterKind.GBJBF].fast(spec, L, b)
-            resid = b - (x + spec.rho * L.apply(L.apply(x)))
-            assert np.all(L.norm(resid) <= 1e-12 * L.norm(b))
+        monkeypatch.setattr(filters, "dense_eig", forbidden)
+        for L, b, refs in cases:
+            x = gbjbf(L, 2.0, b)
+            for xi, bi, ref, s in zip(L.rows(x), L.rows(b), refs, L.segments):
+                assert np.linalg.norm(xi[s] - ref) <= 1e-12 * np.linalg.norm(bi[s])
 
-    @pytest.mark.parametrize("bad", ["overflow", "nan", "inf"])
-    @pytest.mark.parametrize("size", [10, 60])   # 100- and 3600-node systems
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("size", [10, 60])   # 100- and 3600-node graphs
     def test_nonfinite_norm_fails_closed(self, rng, size, bad):
         g, L = random_guide_patch(rng, size, size)
         b = rng.normal(0, 1, g.n_nodes)
-        if bad == "overflow":
-            b *= 1e160       # finite samples, but |b|^2 overflows
-        else:
-            b[3] = float(bad)
+        b[3] = float(bad)
         with pytest.raises(NumericError):
-            gbjbf_exact(L, 2.0, b)
+            apply_filter(FilterSpec(FilterKind.GBJBF), L, b)
 
     @pytest.mark.parametrize("segment", [0, 1])
     def test_nonfinite_norm_in_one_segment_fails_closed(self, rng, segment):
-        # a 48x48 patch and a ragged 16x48 one, solved in one CG run
-        guide = ImageGray.from_array(rng.uniform(0, 255, (48, 64)))
-        grid = split_patches(guide, 48)
-        L = block_operator(guide, HoleMask.all_false(64, 48), grid, WeightParams())
+        L, _ = two_patch_problem(rng)
         b = rng.normal(0, 1, L.n)
-        assert np.all(np.isfinite(gbjbf_exact(L, 2.0, b)))
-        L.rows(b)[segment] *= 1e160
+        assert np.all(np.isfinite(apply_filter(FilterSpec(FilterKind.GBJBF), L, b)))
+        L.rows(b)[segment][5] = np.nan
         with pytest.raises(NumericError):
-            gbjbf_exact(L, 2.0, b)
+            apply_filter(FilterSpec(FilterKind.GBJBF), L, b)
 
-    def test_nan_residual_raises_at_once(self, rng):
-        g, L = random_guide_patch(rng, 6, 6)
-        calls = []
-
-        def op(v):
-            calls.append(1)
-            return np.full_like(v, np.nan)
-
+    @pytest.mark.parametrize("size", [10, 60])
+    def test_huge_finite_input_scales_linearly(self, rng, size):
+        # |b|^2 overflows, which the conjugate-gradient solve refused
+        g, L = random_guide_patch(rng, size, size)
         b = rng.normal(0, 1, g.n_nodes)
-        x = np.zeros_like(b)
-        with pytest.raises(NumericError):
-            conjugate_gradients(L, op, x, b - op(x), np.array([True]), 1000,
-                                tol=1e-12 * L.norm(b))
-        assert len(calls) == 1
+        x = apply_filter(FilterSpec(FilterKind.GBJBF), L, b)
+        big = apply_filter(FilterSpec(FilterKind.GBJBF), L, b * 1e160)
+        np.testing.assert_allclose(big / 1e160, x, rtol=0, atol=1e-13 * np.abs(x).max())
+
+    @pytest.mark.parametrize("rho", [0.5, 2.0, 100.0, 3000.0])
+    def test_applies_the_laplacian_gbjbf_degree_times(self, rng, monkeypatch, rho):
+        g, L = random_guide_patch(rng, 8, 8)
+        calls = []
+        real_apply = NormalizedLaplacian.apply
+
+        def apply(self, x):
+            calls.append(1)
+            return real_apply(self, x)
+
+        monkeypatch.setattr(NormalizedLaplacian, "apply", apply)
+        gbjbf(L, rho, rng.normal(0, 1, g.n_nodes))
+        assert len(calls) == gbjbf_degree(rho)
 
 
 class TestMeasureResponse:
@@ -188,7 +223,7 @@ class TestMeasureResponse:
         g, L = random_guide_patch(rng, 8, 8)
         eig = dense_eig(L)
         b = rng.normal(0, 1, g.n_nodes)
-        r = measure_response(lambda s: gbjbf_exact(L, 2.0, s), eig, b)
+        r = measure_response(lambda s: gbjbf(L, 2.0, s), eig, b)
         np.testing.assert_allclose(r.h[r.valid], gbjbf_response(2.0)(eig.eigenvalues)[r.valid],
                                    atol=1e-8)
 

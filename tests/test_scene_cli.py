@@ -263,6 +263,17 @@ class TestCli:
                   "--patch", "8", "--check-oracle"]
         assert main([*inputs, "--k", str(cap), "--out", str(tmp_path / "at")]) == 0
 
+    def test_gbjbf_check_oracle_holds_at_rho_3000(self, tmp_path):
+        # the conjugate-gradient solve gbjbf ran before stalled here (exit 4)
+        scene_dir = tmp_path / "scene"
+        assert main(["synth", "--out", str(scene_dir), "--size", "128"]) == 0
+        warp_dir = self._warp(tmp_path, scene_dir)
+        assert main(["denoise", "--clean", str(scene_dir / "right.pgm"),
+                     "--guide", str(warp_dir / "guide.pgm"),
+                     "--mask", str(warp_dir / "mask.pbm"), "--filter", "gbjbf",
+                     "--rho", "3000", "--patch", "32", "--check-oracle",
+                     "--out", str(tmp_path / "run")]) == 0
+
     @pytest.mark.parametrize("kind", list(FilterKind))
     def test_check_oracle_k_above_the_cap_is_usage_error(self, tmp_path, capsys, kind):
         cap = FILTERS[kind].check_max_k
@@ -509,19 +520,21 @@ class TestCli:
         ("warp", "--scale", "-1"), ("warp", "--scale", "nan"),
         ("warp", "--scale", "inf"), ("spectral-response", "--x0", "-1"),
         ("spectral-response", "--y0", "-1"), ("denoise", "--rho", "inf"),
-        ("spectral-response", "--rho", "inf")])
+        ("spectral-response", "--rho", "inf"), ("denoise", "--rho", "1e4"),
+        ("spectral-response", "--rho", "1e4")])
     def test_bad_flag_is_usage_error_before_any_input(self, tmp_path, capsys,
                                                       command, flag, value):
+        # gbjbf: --rho 1e4 needs a series degree above MAX_K
         missing = str(tmp_path / "missing.pgm")
         out = tmp_path / "run"
         if command == "denoise":
             argv = ["denoise", "--clean", missing, "--guide", missing,
-                    "--mask", str(tmp_path / "missing.pbm"), "--filter", "cheb"]
+                    "--mask", str(tmp_path / "missing.pbm"), "--filter", "gbjbf"]
         elif command == "warp":
             argv = ["warp", "--source", missing, "--depth", missing, "--scale", "1"]
         else:
             argv = ["spectral-response", "--guide", missing, "--input", missing,
-                    "--mask", str(tmp_path / "missing.pbm"), "--filter", "cheb"]
+                    "--mask", str(tmp_path / "missing.pbm"), "--filter", "gbjbf"]
         assert main([*argv, flag, value, "--out", str(out)]) == 2
         assert flag.lstrip("-") in capsys.readouterr().err
         assert not out.exists()
