@@ -11,10 +11,9 @@ every fast path.
 
 from .errors import (DimensionMismatchError, FileFormatError,
                      GraphDenoiseError, NumericError)
-from .filters import (ChebDesign, FilterKind, FilterSpec, PolyExpansion,
-                      apply_filter, cg_filter, cheb_design, cheb_filter,
-                      gbjbf_degree, jbf, poly_expand_gbjbf, poly_filter,
-                      quadratic_objective)
+from .filters import (FilterKind, FilterSpec, PolyExpansion, apply_filter,
+                      cg_filter, cheb_design, gbjbf_degree, jbf,
+                      poly_expand_gbjbf, poly_filter, quadratic_objective)
 from .graph import (NormalizedLaplacian, PixelGraph, WeightParams, build_graph,
                     denormalize_signal, normalize_signal, normalized_laplacian)
 from .image import HoleMask, ImageGray
@@ -29,13 +28,13 @@ from .scene import StereoScene, synth_scene
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChebDesign", "DenoiseReport", "DepthMap", "DimensionMismatchError",
+    "DenoiseReport", "DepthMap", "DimensionMismatchError",
     "EigenDecomposition", "FileFormatError", "FilterKind", "FilterSpec",
     "GraphDenoiseError", "HoleMask", "ImageGray", "NoiseSpec",
     "NormalizedLaplacian", "NumericError", "PatchGrid", "PixelGraph",
     "PolyExpansion", "SpectralResponse", "StereoScene", "WarpParams",
     "WarpResult", "WeightParams", "add_gaussian_noise", "apply_filter",
-    "build_graph", "cg_filter", "cheb_design", "cheb_filter", "denoise",
+    "build_graph", "cg_filter", "cheb_design", "denoise",
     "denormalize_signal", "dense_eig", "exact_filter", "gbjbf_degree",
     "interp_subpel", "jbf", "krylov_minimize", "measure_response",
     "median_fill", "normalize_signal", "normalized_laplacian",

@@ -76,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "patches are filtered in one pass)")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle",
                    help="verify every patch against the dense oracle "
-                        "(requires --patch <= 32 and, for cheb, cg and cg0, "
-                        "a capped --k)")
+                        "(requires --patch <= 32 and, for cg and cg0, a "
+                        "capped --k)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("psnr", help="print PSNR between two images (dB)")

@@ -4,14 +4,14 @@ All filters here touch the operator only through Laplacian-vector products,
 so cost is O(k (n + edges)) for a degree/iteration budget k:
 
 * ``jbf``        -- the one-step neighborhood average b - L b.
-* ``poly_filter``-- truncated Chebyshev series of the closed-form
-                    regularized filter 1/(1 + rho lambda^2): ``poly`` at
-                    degree k, ``gbjbf`` at the degree ``gbjbf_degree(rho)``
-                    whose coefficient tail is <= 1e-13.
-* ``cheb_filter``-- minimax low-pass polynomial whose roots are Chebyshev
-                    roots mapped onto a stop band [l, 2], scaled to unit
-                    response at eigenvalue 0, applied as a root-product
-                    iteration.
+* ``poly_filter``-- a truncated Chebyshev series (``chebyshev_series``)
+                    run by its three-term recurrence: ``poly`` at degree k
+                    and ``gbjbf`` at the degree ``gbjbf_degree(rho)``,
+                    whose coefficient tail is <= 1e-13, of the closed-form
+                    regularized filter 1/(1 + rho lambda^2); ``cheb`` is
+                    the series of the degree-k minimax low-pass whose
+                    roots are Chebyshev roots mapped onto a stop band
+                    [l, 2], with unit response at eigenvalue 0.
 * ``cg_filter``  -- k conjugate-gradient iterations on the quadratic
                     x^T L x - 2 x^T f, an input-adaptive Krylov-subspace
                     low-pass (``conjugate_gradients``, one step size per
@@ -35,7 +35,8 @@ from numpy.polynomial import chebyshev as npcheb
 from .errors import DimensionMismatchError, NumericError
 from .graph import NormalizedLaplacian, denormalize_signal, normalize_signal
 from .image import _frozen
-from .oracle import dense_eig, exact_filter, gbjbf_response, krylov_minimize
+from .oracle import (cheb_response, dense_eig, exact_filter, gbjbf_response,
+                     krylov_minimize)
 
 # Largest degree / iteration count a FilterSpec accepts: the cost of
 # poly's series design grows as k^2 and every filter's as k.
@@ -92,99 +93,58 @@ def jbf(L: NormalizedLaplacian, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Minimax (equiripple) low-pass polynomial
-
-@dataclass(frozen=True)
-class ChebDesign:
-    """Degree-k polynomial with roots on the stop band [l, 2].
-
-    Roots are the degree-k Chebyshev roots cos(pi (2i-1) / 2k) mapped
-    affinely from [-1, 1] onto [l, 2] (stored in descending order), and the
-    scale is 1/prod(roots) so the response at 0 is 1.
-    """
-
-    k: int
-    l: float
-    roots: np.ndarray
-    scale: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "roots", _frozen(np.asarray(self.roots, float)))
-
-    def response(self, lam) -> np.ndarray:
-        """Evaluate scale * prod_i (roots_i - lambda)."""
-        lam = np.asarray(lam, dtype=np.float64)
-        out = np.full(lam.shape, self.scale)
-        for r in self.roots:
-            out = out * (r - lam)
-        return out
-
-
-def cheb_design(k: int, l: float) -> ChebDesign:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not (0.0 < l < 2.0):
-        raise ValueError("stop-band start l must lie in (0, 2)")
-    i = np.arange(1, k + 1, dtype=np.float64)
-    base = np.cos(np.pi * (2.0 * i - 1.0) / (2.0 * k))
-    roots = 0.5 * (2.0 - l) * base + 0.5 * (2.0 + l)
-    return ChebDesign(k=k, l=l, roots=roots, scale=float(1.0 / np.prod(roots)))
-
-
-def cheb_filter(L: NormalizedLaplacian, b: np.ndarray, design: ChebDesign) -> np.ndarray:
-    """Root-product iteration x^i = r_i x^{i-1} - L x^{i-1}, x^0 = scale * b.
-
-    Roots are applied in descending order; the result is order-independent
-    up to rounding.
-    """
-    x = design.scale * np.asarray(b, dtype=np.float64)
-    for r in design.roots:
-        x = r * x - L.apply(x)
-    return x
-
-
-# ---------------------------------------------------------------------------
-# Truncated Chebyshev-series approximation of the regularized filter
+# Chebyshev-series polynomial filters: gbjbf, poly and cheb
 
 @dataclass(frozen=True)
 class PolyExpansion:
-    """Chebyshev-series coefficients c_0..c_k in the basis T_j(lambda - 1),
-    approximating 1/(1 + rho lambda^2) on [0, 2]: the ``poly`` filter at
-    k = spec.k and the ``gbjbf`` filter at k = ``gbjbf_degree(rho)``."""
+    """Chebyshev-series coefficients c_0..c_k, k >= 1, in the basis
+    T_j(lambda - 1) of a transfer function on [0, 2]."""
 
     k: int
-    rho: float
     coeffs: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _frozen(np.asarray(self.coeffs, float)))
+        if self.k < 1 or self.coeffs.shape != (self.k + 1,):
+            raise ValueError("a series needs degree k >= 1 and k + 1 coefficients")
 
     def evaluate(self, lam) -> np.ndarray:
         t = np.asarray(lam, dtype=np.float64) - 1.0
         return npcheb.chebval(t, self.coeffs)
 
 
-def poly_expand_gbjbf(k: int, rho: float) -> PolyExpansion:
-    """Degree-k Chebyshev series of gbjbf's response 1/(1 + rho lambda^2),
+def chebyshev_series(h, k: int) -> PolyExpansion:
+    """Degree-k Chebyshev series of the transfer function h on [0, 2],
     coefficients by Gauss-Chebyshev quadrature.
 
     Under lambda = 1 + cos(theta) the coefficients are cosine moments of
-    the target; max(64, 8k) nodes are spectrally accurate for this smooth
-    target.  At k = ``gbjbf_degree(rho)`` the series is the gbjbf filter
-    itself.  rho = 0 (a constant target) is accepted for testing.
+    h.  max(64, 8k) nodes are spectrally accurate for a smooth h, and exact
+    up to rounding for a polynomial of degree <= k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
     m = max(64, 8 * k)
     theta = np.pi * (np.arange(m) + 0.5) / m
-    lam = 1.0 + np.cos(theta)
-    f = gbjbf_response(rho)(lam)
+    f = h(1.0 + np.cos(theta))
     j = np.arange(k + 1)[:, None]
     c = (2.0 / m) * (np.cos(j * theta[None, :]) @ f)
     c[0] *= 0.5
-    return PolyExpansion(k=k, rho=rho, coeffs=c)
+    return PolyExpansion(k=k, coeffs=c)
+
+
+def poly_expand_gbjbf(k: int, rho: float) -> PolyExpansion:
+    """Degree-k series of gbjbf's response 1/(1 + rho lambda^2): the
+    ``poly`` filter at k = spec.k, the gbjbf filter itself at
+    k = ``gbjbf_degree(rho)``."""
+    return chebyshev_series(gbjbf_response(rho), k)
+
+
+def cheb_design(k: int, l: float) -> PolyExpansion:
+    """The degree-k minimax low-pass with stop band [l, 2]
+    (``oracle.cheb_response``) as its Chebyshev series.  On [0, 2] the
+    polynomial is bounded by 1, so the series' three-term recurrence is
+    stable at every degree, where its root product is not."""
+    return chebyshev_series(cheb_response(k, l), k)
 
 
 def gbjbf_degree(rho: float) -> int:
@@ -213,19 +173,24 @@ def poly_filter(L: NormalizedLaplacian, b: np.ndarray, p: PolyExpansion) -> np.n
     """Evaluate the series at the operator.
 
     Uses the three-term recurrence T_{j+1}(t) = 2 t T_j(t) - T_{j-1}(t)
-    with t = L - I, costing exactly k Laplacian applications.
+    with t = L - I, costing exactly k Laplacian applications.  Each step
+    updates ``L.apply``'s fresh output and the sum in place: the
+    allocating form's temporaries made glibc trim the heap and fault it
+    back in on every call.
     """
     b = np.asarray(b, dtype=np.float64)
     c = p.coeffs
-    t_prev = b
+    t_prev, t_cur = b, L.apply(b)
+    t_cur -= b
     acc = c[0] * b
-    if p.k >= 1:
-        t_cur = L.apply(b) - b
-        acc = acc + c[1] * t_cur
-        for j in range(2, p.k + 1):
-            t_next = 2.0 * (L.apply(t_cur) - t_cur) - t_prev
-            acc = acc + c[j] * t_next
-            t_prev, t_cur = t_cur, t_next
+    acc += c[1] * t_cur
+    for j in range(2, p.k + 1):
+        t_next = L.apply(t_cur)
+        t_next -= t_cur
+        t_next *= 2.0
+        t_next -= t_prev
+        acc += c[j] * t_next
+        t_prev, t_cur = t_cur, t_next
     return acc
 
 
@@ -339,10 +304,9 @@ class FilterDef:
     pipeline runs, ``reference`` the dense oracle it must match.
     ``check_max_k`` is the largest k at which the two agree to the 1e-6
     of ``denoise --check-oracle`` on the bundled scene, at the default
-    flags and every patch size the check allows; above it they lose
-    accuracy in different ways (the explicit Krylov basis, the
-    high-degree root product), so a correct run would read as a numeric
-    failure."""
+    flags and every patch size the check allows; above it the CG filters
+    and their explicit-Krylov-basis reference part, so a correct run
+    would read as a numeric failure."""
 
     fast: Callable[[FilterSpec, NormalizedLaplacian, np.ndarray], np.ndarray]
     reference: Callable[[FilterSpec, NormalizedLaplacian, np.ndarray], np.ndarray]
@@ -368,9 +332,8 @@ FILTERS: dict[FilterKind, FilterDef] = {
         reference=_exact(
             lambda spec, lam: poly_expand_gbjbf(spec.k, spec.rho).evaluate(lam))),
     FilterKind.K_CHEB: FilterDef(
-        fast=lambda spec, L, x: cheb_filter(L, x, cheb_design(spec.k, spec.l)),
-        reference=_exact(lambda spec, lam: cheb_design(spec.k, spec.l).response(lam)),
-        check_max_k=82),
+        fast=lambda spec, L, x: poly_filter(L, x, cheb_design(spec.k, spec.l)),
+        reference=_exact(lambda spec, lam: cheb_response(spec.k, spec.l)(lam))),
     FilterKind.K_CG: FilterDef(
         fast=lambda spec, L, x: cg_filter(L, x, spec.k, "cg"),
         reference=lambda spec, L, x: krylov_minimize(L, x, x, spec.k),

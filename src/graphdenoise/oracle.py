@@ -2,8 +2,9 @@
 
 Everything here trades speed for trust: a full symmetric eigendecomposition
 (capped at 8192 nodes), exact application of arbitrary spectral transfer
-functions, the closed-form regularized least-squares response, a brute-force
-Krylov-subspace minimizer, and empirical transfer-function measurement.
+functions, the closed-form regularized least-squares response, the minimax
+low-pass response in product form, a brute-force Krylov-subspace minimizer,
+and empirical transfer-function measurement.
 These are the references every fast vertex-domain filter is validated
 against; no fast path runs through this module.
 
@@ -77,6 +78,33 @@ def gbjbf_response(rho: float):
     def h(lam):
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + rho * np.asarray(lam) ** 2)
+    return h
+
+
+def cheb_response(k: int, l: float):
+    """The degree-k minimax low-pass transfer function with stop band
+    [l, 2], in product form scale * prod_i (r_i - lambda).
+
+    The roots r_i are the degree-k Chebyshev roots cos(pi (2i-1) / 2k)
+    mapped affinely from [-1, 1] onto [l, 2], in descending order, and
+    scale = 1/prod(r_i) gives unit response at 0.  Evaluated at scalars
+    the product is accurate at every degree; it is ``cheb``'s reference,
+    independent of the series coefficients its fast path runs.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not (0.0 < l < 2.0):
+        raise ValueError("stop-band start l must lie in (0, 2)")
+    i = np.arange(1, k + 1, dtype=np.float64)
+    roots = 0.5 * (2.0 - l) * np.cos(np.pi * (2.0 * i - 1.0) / (2.0 * k)) + 0.5 * (2.0 + l)
+    scale = float(1.0 / np.prod(roots))
+
+    def h(lam):
+        lam = np.asarray(lam, dtype=np.float64)
+        out = np.full(lam.shape, scale)
+        for r in roots:
+            out = out * (r - lam)
+        return out
     return h
 
 

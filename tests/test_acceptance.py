@@ -15,7 +15,7 @@ import numpy as np
 
 from graphdenoise import (FilterKind, FilterSpec, NoiseSpec, WarpParams,
                           WeightParams, add_gaussian_noise, cg_filter,
-                          cheb_design, cheb_filter, dense_eig, denoise,
+                          cheb_design, dense_eig, denoise,
                           exact_filter, gbjbf_degree, jbf, krylov_minimize,
                           measure_response, normalized_laplacian,
                           poly_expand_gbjbf, poly_filter, psnr,
@@ -23,6 +23,7 @@ from graphdenoise import (FilterKind, FilterSpec, NoiseSpec, WarpParams,
 from graphdenoise.dibr import (HALF_TAPS, QUARTER_TAPS, THREE_QUARTER_TAPS,
                                DepthMap, interp_subpel)
 from graphdenoise.image import ImageGray
+from graphdenoise.oracle import cheb_response
 from graphdenoise.pipeline import reference_comparison
 
 from conftest import random_connected_graph, random_guide_patch, two_node_graph
@@ -48,7 +49,7 @@ def test_criterion_1_oracle_equivalence():
         p = poly_expand_gbjbf(3, 2.0)
         pairs = [
             (jbf(L, b), exact_filter(eig, lambda lam: 1.0 - lam, b)),
-            (cheb_filter(L, b, d), exact_filter(eig, d.response, b)),
+            (poly_filter(L, b, d), exact_filter(eig, cheb_response(3, 0.5), b)),
             (poly_filter(L, b, p), exact_filter(eig, p.evaluate, b)),
         ]
         for fast, ref in pairs:
@@ -70,14 +71,14 @@ def test_criterion_2_chebyshev_minimax():
             z0 = -(2.0 + l) / (2.0 - l)
             level = 1.0 / math.cosh(k * math.acosh(-z0))
             lam = np.linspace(l, 2.0, 10001)
-            sampled = np.max(np.abs(d.response(lam)))
+            sampled = np.max(np.abs(d.evaluate(lam)))
             worst_level = max(worst_level, abs(sampled - level))
             extrema = 0.5 * (2 - l) * np.cos(np.pi * np.arange(k + 1) / k) \
                 + 0.5 * (2 + l)
-            vals = d.response(extrema)
+            vals = d.evaluate(extrema)
             worst_ripple = max(worst_ripple, np.max(np.abs(np.abs(vals) - level)))
             assert np.all(vals[:-1] * vals[1:] < 0), "extrema must alternate in sign"
-            worst_dc = max(worst_dc, abs(d.response(0.0) - 1.0))
+            worst_dc = max(worst_dc, abs(d.evaluate(0.0) - 1.0))
     ok = worst_level <= 1e-10 and worst_ripple <= 1e-10 and worst_dc <= 1e-12
     _report(2, "chebyshev minimax", ok,
             f"level err {worst_level:.1e}, ripple err {worst_ripple:.1e}, "
@@ -119,7 +120,7 @@ def test_criterion_4_hand_computed_vectors():
     b = np.array([1.0, 0.0])
     cases = [
         ("jbf", jbf(L, b), [0.0, 1.0]),
-        ("1-cheb", cheb_filter(L, b, cheb_design(1, 0.5)), [0.2, 0.8]),
+        ("1-cheb", poly_filter(L, b, cheb_design(1, 0.5)), [0.2, 0.8]),
         ("1-cg", cg_filter(L, b, 1, "cg"), [1.0, 1.0]),
         ("1-cg0", cg_filter(L, b, 1, "cg0"), [0.5, 0.5]),
         ("gbjbf rho=2", poly_filter(L, b, poly_expand_gbjbf(gbjbf_degree(2.0), 2.0)),

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from graphdenoise import (FilterKind, FilterSpec, HoleMask, ImageGray,
                           NumericError, PixelGraph, WeightParams, apply_filter,
-                          build_graph, cg_filter, cheb_design, cheb_filter,
+                          build_graph, cg_filter, cheb_design,
                           dense_eig, exact_filter, gbjbf_degree, jbf,
                           krylov_minimize, normalize_signal, normalized_laplacian,
                           poly_expand_gbjbf, poly_filter, quadratic_objective)
-from graphdenoise.filters import MAX_K, ChebDesign, PolyExpansion
+from graphdenoise.filters import MAX_K, PolyExpansion
 from graphdenoise.graph import sqrt_degrees
-from graphdenoise.oracle import gbjbf_response
+from graphdenoise.oracle import cheb_response, gbjbf_response
 from graphdenoise.pipeline import block_operator, patch_operator, split_patches
 
 from conftest import random_connected_graph, random_guide_patch, two_node_graph
@@ -39,30 +39,41 @@ class TestJbf:
         assert jbf(edgeless(3), b).tolist() == b.tolist()
 
 
+def mapped_chebyshev_roots(k, l):
+    i = np.arange(1, k + 1)
+    return 0.5 * (2 - l) * np.cos(np.pi * (2 * i - 1) / (2 * k)) + 0.5 * (2 + l)
+
+
 class TestChebDesign:
     def test_k1_l_half(self):
-        d = cheb_design(1, 0.5)
-        np.testing.assert_allclose(d.roots, [1.25], atol=1e-15)
-        assert d.scale == pytest.approx(0.8, abs=1e-15)
+        # root 1.25, scale 0.8
+        lam = np.linspace(0.0, 2.0, 9)
+        np.testing.assert_allclose(cheb_response(1, 0.5)(lam), 0.8 * (1.25 - lam),
+                                   atol=1e-15)
 
     def test_k2_l_half(self):
-        d = cheb_design(2, 0.5)
         base = math.sqrt(2) / 2
-        np.testing.assert_allclose(d.roots, [1.25 + 0.75 * base, 1.25 - 0.75 * base],
-                                   atol=1e-12)
-        assert d.scale == pytest.approx(1.0 / 1.28125, abs=1e-12)
+        r1, r2 = 1.25 + 0.75 * base, 1.25 - 0.75 * base
+        lam = np.linspace(0.0, 2.0, 9)
+        np.testing.assert_allclose(cheb_response(2, 0.5)(lam),
+                                   (r1 - lam) * (r2 - lam) / 1.28125, atol=1e-12)
 
     @given(st.integers(1, 12), st.floats(0.05, 1.95))
     def test_unit_dc_response(self, k, l):
         d = cheb_design(k, l)
-        assert d.response(0.0) == pytest.approx(1.0, abs=1e-12)
-        assert np.all(d.roots >= l - 1e-12) and np.all(d.roots <= 2 + 1e-12)
+        assert cheb_response(k, l)(0.0) == pytest.approx(1.0, abs=1e-12)
+        assert d.evaluate(0.0) == pytest.approx(1.0, abs=1e-12)
+        # the series vanishes at the Chebyshev roots mapped onto [l, 2]
+        roots = mapped_chebyshev_roots(k, l)
+        np.testing.assert_allclose(cheb_response(k, l)(roots), 0.0, atol=1e-12)
+        np.testing.assert_allclose(d.evaluate(roots), 0.0, atol=1e-12)
 
     def test_invalid_stop_band(self):
-        with pytest.raises(ValueError):
-            cheb_design(3, 0.0)
-        with pytest.raises(ValueError):
-            cheb_design(3, 2.0)
+        for design in (cheb_design, cheb_response):
+            with pytest.raises(ValueError):
+                design(3, 0.0)
+            with pytest.raises(ValueError):
+                design(3, 2.0)
 
     def test_minimax_level_and_equioscillation(self):
         # max of |h| on [l, 2] is 1/|T_k(z0)| with z0 the image of 0 under
@@ -72,31 +83,38 @@ class TestChebDesign:
             z0 = -(2 + l) / (2 - l)
             level = 1.0 / math.cosh(k * math.acosh(-z0))
             lam = np.linspace(l, 2.0, 10001)
-            assert np.max(np.abs(d.response(lam))) == pytest.approx(level, abs=1e-12)
+            assert np.max(np.abs(d.evaluate(lam))) == pytest.approx(level, abs=1e-12)
             extrema = 0.5 * (2 - l) * np.cos(np.pi * np.arange(k + 1) / k) + 0.5 * (2 + l)
-            vals = d.response(extrema)
+            vals = d.evaluate(extrema)
             np.testing.assert_allclose(np.abs(vals), level, atol=1e-12)
             assert np.all(vals[:-1] * vals[1:] < 0)
+
+    @pytest.mark.parametrize("l", [0.1, 0.5, 1.9])
+    @pytest.mark.parametrize("k", [1, 3, 40, 82, 128, 256])
+    def test_series_matches_the_product_form(self, k, l):
+        lam = np.linspace(0.0, 2.0, 20001)
+        err = np.max(np.abs(cheb_design(k, l).evaluate(lam) - cheb_response(k, l)(lam)))
+        assert err <= 1e-12
 
 
 class TestChebFilter:
     def test_k1_two_node_hand_value(self):
         L = normalized_laplacian(two_node_graph())
-        out = cheb_filter(L, np.array([1.0, 0.0]), cheb_design(1, 0.5))
+        out = poly_filter(L, np.array([1.0, 0.0]), cheb_design(1, 0.5))
         np.testing.assert_allclose(out, [0.2, 0.8], atol=1e-15)
 
     def test_nullvector_unchanged(self, rng):
         g, L = random_guide_patch(rng, 6, 6)
         v = sqrt_degrees(g)
-        out = cheb_filter(L, v, cheb_design(3, 0.5))
+        out = poly_filter(L, v, cheb_design(3, 0.5))
         np.testing.assert_allclose(out, v, atol=1e-10 * v.max())
 
     def test_edgeless_graph_near_identity(self):
-        # the scalar chain scale * prod(roots) re-rounds per step, so the
-        # zero-operator case is identity only to a few ulps
+        # on the zero operator the series sums c_j T_j(-1) term by term,
+        # re-rounding per term, so it is identity only to a few ulps
         b = np.array([4.0, -1.0, 0.25])
         for k in (1, 2, 5):
-            out = cheb_filter(edgeless(3), b, cheb_design(k, 0.5))
+            out = poly_filter(edgeless(3), b, cheb_design(k, 0.5))
             np.testing.assert_allclose(out, b, rtol=1e-13, atol=0)
 
     def test_matches_exact_filter(self, rng):
@@ -104,22 +122,10 @@ class TestChebFilter:
             g, L = random_guide_patch(rng, 16, 16)
             eig = dense_eig(L)
             b = rng.normal(0, 10, g.n_nodes)
-            d = cheb_design(3, 0.5)
-            fast = cheb_filter(L, b, d)
-            ref = exact_filter(eig, d.response, b)
+            fast = poly_filter(L, b, cheb_design(3, 0.5))
+            ref = exact_filter(eig, cheb_response(3, 0.5), b)
             scale = max(1.0, np.max(np.abs(ref)))
             assert np.max(np.abs(fast - ref)) / scale <= 1e-8
-
-    def test_root_order_invariance(self, rng):
-        g, L = random_guide_patch(rng, 8, 8)
-        b = rng.normal(0, 1, g.n_nodes)
-        d = cheb_design(4, 0.5)
-        base = cheb_filter(L, b, d)
-        for _ in range(4):
-            perm = rng.permutation(d.k)
-            shuffled = ChebDesign(k=d.k, l=d.l, roots=d.roots[perm], scale=d.scale)
-            out = cheb_filter(L, b, shuffled)
-            assert np.max(np.abs(out - base)) <= 1e-8 * max(1.0, np.max(np.abs(base)))
 
 
 class TestPolyExpansion:
@@ -180,15 +186,28 @@ class TestPolyFilter:
     def test_constant_series_returns_input(self, rng):
         g, L = random_guide_patch(rng, 5, 5)
         b = rng.normal(0, 1, g.n_nodes)
-        p = PolyExpansion(k=1, rho=0.0, coeffs=np.array([1.0, 0.0]))
+        p = PolyExpansion(k=1, coeffs=np.array([1.0, 0.0]))
         np.testing.assert_array_equal(poly_filter(L, b, p), b)
 
     def test_first_order_term_is_l_minus_identity(self, rng):
         g, L = random_guide_patch(rng, 5, 5)
         b = rng.normal(0, 1, g.n_nodes)
-        p = PolyExpansion(k=1, rho=0.0, coeffs=np.array([0.0, 1.0]))
+        p = PolyExpansion(k=1, coeffs=np.array([0.0, 1.0]))
         np.testing.assert_allclose(poly_filter(L, b, p),
                                    L.apply(b) - b, atol=1e-14)
+
+    @pytest.mark.parametrize("k, coeffs", [(0, [1.0]), (1, [1.0]), (2, [1.0, 0.0])])
+    def test_degree_and_coefficients_must_agree(self, k, coeffs):
+        with pytest.raises(ValueError):
+            PolyExpansion(k=k, coeffs=np.array(coeffs))
+
+    def test_writes_no_input(self, rng):
+        # the recurrence steps in place, on arrays it allocated itself
+        g, L = random_guide_patch(rng, 5, 5)
+        b = rng.normal(0, 1, g.n_nodes)
+        b.flags.writeable = False
+        for k in (1, 2, 5):
+            poly_filter(L, b, cheb_design(k, 0.5))
 
     def test_matches_exact_filter(self, rng):
         for _ in range(5):
@@ -220,7 +239,7 @@ class TestPolyFilter:
         poly_filter(counter, b, poly_expand_gbjbf(k, 2.0))
         assert counter.calls == k
         counter = CountingOperator(L)
-        cheb_filter(counter, b, cheb_design(k, 0.5))
+        poly_filter(counter, b, cheb_design(k, 0.5))
         assert counter.calls == k
 
 
@@ -356,7 +375,7 @@ class TestLinearity:
         d = cheb_design(3, 0.5)
         p = poly_expand_gbjbf(3, 2.0)
         for filt in (lambda s: jbf(L, s),
-                     lambda s: cheb_filter(L, s, d),
+                     lambda s: poly_filter(L, s, d),
                      lambda s: poly_filter(L, s, p)):
             lhs = filt(a * b1 + c * b2)
             rhs = a * filt(b1) + c * filt(b2)
@@ -379,7 +398,7 @@ class TestApplyFilter:
         spec = FilterSpec(FilterKind.K_CHEB, k=1, l=0.5)
         via_spec = apply_filter(spec, L, b_hat)
         x = normalize_signal(g, b_hat)
-        direct = cheb_filter(L, x, cheb_design(1, 0.5))
+        direct = poly_filter(L, x, cheb_design(1, 0.5))
         from graphdenoise import denormalize_signal
 
         np.testing.assert_array_equal(via_spec, denormalize_signal(g, direct))

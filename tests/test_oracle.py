@@ -253,8 +253,8 @@ class TestMeasureResponse:
         assert len(calls) == 1
 
     def test_polynomial_responses_input_independent_cg_adaptive(self, rng):
-        from graphdenoise import cg_filter, cheb_design, cheb_filter, \
-            poly_expand_gbjbf, poly_filter
+        from graphdenoise import cg_filter, cheb_design, poly_expand_gbjbf, \
+            poly_filter
 
         g, L = random_guide_patch(rng, 8, 8)
         eig = dense_eig(L)
@@ -263,7 +263,7 @@ class TestMeasureResponse:
         d = cheb_design(3, 0.5)
         p = poly_expand_gbjbf(3, 2.0)
         for filt in (lambda s: jbf(L, s),
-                     lambda s: cheb_filter(L, s, d),
+                     lambda s: poly_filter(L, s, d),
                      lambda s: poly_filter(L, s, p)):
             r1 = measure_response(filt, eig, b1)
             r2 = measure_response(filt, eig, b2)

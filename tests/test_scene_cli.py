@@ -249,7 +249,7 @@ class TestCli:
                    "--check-oracle", "--out", str(tmp_path / "chk2")])
         assert rc == 2
 
-    @pytest.mark.parametrize("kind", ["cheb", "cg", "cg0"])
+    @pytest.mark.parametrize("kind", ["cg", "cg0"])
     def test_check_oracle_holds_at_the_k_cap_of_the_bundled_scene(self, tmp_path, kind):
         cap = FILTERS[FilterKind(kind)].check_max_k
         assert cap < 256
@@ -262,6 +262,18 @@ class TestCli:
                   "--mask", str(warp_dir / "mask.pbm"), "--filter", kind,
                   "--patch", "8", "--check-oracle"]
         assert main([*inputs, "--k", str(cap), "--out", str(tmp_path / "at")]) == 0
+
+    @pytest.mark.parametrize("l", ["0.1", "0.5", "1.9"])
+    def test_cheb_check_oracle_holds_at_max_k(self, tmp_path, l):
+        # the root product cheb ran before failed here at --l 0.1 from k 40
+        scene_dir = tmp_path / "scene"
+        assert main(["synth", "--out", str(scene_dir)]) == 0
+        warp_dir = self._warp(tmp_path, scene_dir)
+        assert main(["denoise", "--clean", str(scene_dir / "right.pgm"),
+                     "--guide", str(warp_dir / "guide.pgm"),
+                     "--mask", str(warp_dir / "mask.pbm"), "--filter", "cheb",
+                     "--k", "256", "--l", l, "--patch", "8", "--check-oracle",
+                     "--out", str(tmp_path / "run")]) == 0
 
     def test_gbjbf_check_oracle_holds_at_rho_3000(self, tmp_path):
         # the conjugate-gradient solve gbjbf ran before stalled here (exit 4)
