@@ -18,8 +18,8 @@ from . import dibr, pipeline, scene
 from .errors import DimensionMismatchError, FileFormatError, NumericError
 from .filters import FILTERS, MAX_K, FilterKind, FilterSpec
 from .graph import WeightParams, normalize_signal
-from .image import (HoleMask, atomic_write_bytes, load_image, load_mask,
-                    save_image, save_mask)
+from .image import (HoleMask, atomic_write_bytes, check_same_shape, load_image,
+                    load_mask, save_image, save_mask)
 from .oracle import dense_eig, measure_response
 
 _FILTER_CHOICES = [k.value for k in FilterKind]
@@ -231,6 +231,8 @@ def cmd_spectral_response(args) -> int:
         mask = load_mask(args.mask)
     else:
         mask = HoleMask.all_false(guide.width, guide.height)
+    check_same_shape(guide, signal, "guide/input")
+    check_same_shape(guide, mask, "guide/mask")
     x0, y0, size = args.x0, args.y0, args.size
     if x0 + size > guide.width or y0 + size > guide.height:
         raise ValueError("patch window falls outside the guide image")

@@ -14,8 +14,8 @@ so cost is O(k (n + edges)) for a degree/iteration budget k:
                     [l, 2], with unit response at eigenvalue 0.
 * ``cg_filter``  -- k conjugate-gradient iterations on the quadratic
                     x^T L x - 2 x^T f, an input-adaptive Krylov-subspace
-                    low-pass (``conjugate_gradients``, one step size per
-                    segment, with a breakdown stop).
+                    low-pass (one step size per segment, with a breakdown
+                    stop).
 
 ``FILTERS`` maps each ``FilterKind`` to its normalized-domain fast path and
 its dense oracle reference; ``apply_filter`` dispatches through it and owns
@@ -217,34 +217,45 @@ class CGInfo:
         object.__setattr__(self, "breakdown", _frozen(np.asarray(self.breakdown, bool)))
 
 
-def conjugate_gradients(L: NormalizedLaplacian, x: np.ndarray, r: np.ndarray,
-                        live: np.ndarray, steps: int):
-    """At most ``steps`` conjugate-gradient (Hestenes-Stiefel) steps on
-    L x = c from iterate x with residual r = c - L x, on the segments
-    flagged ``live``.
+def cg_filter(L: NormalizedLaplacian, b: np.ndarray, k: int, variant: str = "cg",
+              return_info: bool = False):
+    """k Hestenes-Stiefel conjugate-gradient iterations on x^T L x - 2 x^T f.
 
-    Each segment has its own step sizes and stop, and a stopped segment is
-    never stepped again, so its result is bit-identical to running on its
-    graph alone.  A segment stops without stepping at curvature
-    p^T L p <= CG_BREAKDOWN_RTOL |p|^2 (a nullspace direction, never
-    divided by).  x, r and p are stepped in place in the loop's own
-    (segments, slab) copies: it writes no array of the caller's nor any
-    ``L.apply`` returns.
+    variant "cg"  starts at x0 = b with f = b;
+    variant "cg0" starts at x0 = b with f = 0.
 
-    Returns (x, iterations, breakdown), the last two per segment: steps
-    taken, broke down.
+    The iterate after k steps minimizes the quadratic over the affine
+    Krylov subspace x0 + span{r0, L r0, ..., L^{k-1} r0}, r0 = f - L x0.
+    A search direction whose curvature p^T L p falls to CG_BREAKDOWN_RTOL
+    of |p|^2 lies numerically in the Laplacian nullspace; iteration stops
+    there and the current iterate is returned (the degenerate curvature is
+    never divided by).  A vanishing initial residual returns b unchanged.
+
+    Each segment of L has its own step sizes and stop, and a stopped
+    segment is never stepped again, so its result is bit-identical to
+    filtering its graph alone.  x, r and p are stepped in place in the
+    filter's own (segments, slab) buffers: it writes neither b nor any
+    array ``L.apply`` returns.
     """
-    live = live.copy()
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if variant not in ("cg", "cg0"):
+        raise ValueError(f"unknown CG variant {variant!r}")
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (L.n,):
+        raise DimensionMismatchError("signal/operator size mismatch")
+    f = b if variant == "cg" else 0.0
+    x, r = np.array(L.rows(b)), L.rows(f - L.apply(b))
+    p, tmp = r.copy(), np.empty_like(r)
+    rr = L.dot(r, r)
+    live = ~(np.sqrt(rr) <= 1e-14 * np.sqrt(L.dot(b, b)))
     iterations = np.zeros(live.shape, np.int64)
     breakdown = np.zeros(live.shape, bool)
 
     def ratio(num, den):   # per row: its segment's num / den if live, else 0
         return np.divide(num, den, out=np.zeros_like(num), where=live)[:, None]
 
-    x, r = np.array(L.rows(x), np.float64), np.array(L.rows(r), np.float64)
-    p, tmp = r.copy(), np.empty_like(r)
-    rr = L.dot(r, r)
-    for _ in range(steps):
+    for _ in range(k):
         if not live.any():
             break
         ap = L.rows(L.apply(p.reshape(-1)))
@@ -261,36 +272,8 @@ def conjugate_gradients(L: NormalizedLaplacian, x: np.ndarray, r: np.ndarray,
         np.add(r, np.multiply(ratio(rr_new, rr), p, out=p), out=p)
         rr = rr_new
         iterations += live
-    return x.reshape(-1), iterations, breakdown
-
-
-def cg_filter(L: NormalizedLaplacian, b: np.ndarray, k: int, variant: str = "cg",
-              return_info: bool = False):
-    """k Hestenes-Stiefel conjugate-gradient iterations on x^T L x - 2 x^T f.
-
-    variant "cg"  starts at x0 = b with f = b;
-    variant "cg0" starts at x0 = b with f = 0.
-
-    The iterate after k steps minimizes the quadratic over the affine
-    Krylov subspace x0 + span{r0, L r0, ..., L^{k-1} r0}, r0 = f - L x0.
-    A search direction whose curvature p^T L p falls to 1e-14 of |p|^2
-    lies numerically in the Laplacian nullspace; iteration stops there and
-    the current iterate is returned (the degenerate curvature is never
-    divided by).  A vanishing initial residual returns b unchanged.  Each
-    segment of L runs its own iteration (``conjugate_gradients``).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if variant not in ("cg", "cg0"):
-        raise ValueError(f"unknown CG variant {variant!r}")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (L.n,):
-        raise DimensionMismatchError("signal/operator size mismatch")
-    f = b if variant == "cg" else np.zeros_like(b)
-    r = f - L.apply(b)
-    live = ~(L.norm(r) <= 1e-14 * L.norm(b))
-    x, done, breakdown = conjugate_gradients(L, b, r, live, k)
-    info = CGInfo(iterations=done, breakdown=breakdown)
+    x = x.reshape(-1)
+    info = CGInfo(iterations=iterations, breakdown=breakdown)
     return (x, info) if return_info else x
 
 

@@ -21,8 +21,8 @@ trip.  An operator may be block diagonal over several disjoint graphs, its
 *segments*, the rows of a (segments, slab) view: the image pipeline
 filters every patch at once this way, and a ``PixelGraph`` gives one row.
 Inner products come one per row (one ``vecdot``, ragged rows gathered),
-so the CG filters' loop (``filters.conjugate_gradients``) keeps one step
-size per graph, broadcast.
+so the CG filters' loop (``filters.cg_filter``) keeps one step size per
+graph, broadcast.
 
 ``scipy.sparse`` is imported only where a matrix is assembled
 (``normalized_laplacian`` and ``pipeline.block_operator``), so a process
@@ -208,10 +208,6 @@ class NormalizedLaplacian:
             if isinstance(s, np.ndarray):
                 d[i] = xs[i][s] @ ys[i][s]
         return d
-
-    def norm(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean norm per segment (as ``np.linalg.norm`` computes it)."""
-        return np.sqrt(self.dot(x, x))
 
 
 def normalized_laplacian(g: PixelGraph) -> NormalizedLaplacian:

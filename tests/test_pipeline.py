@@ -192,11 +192,10 @@ class TestDenoise:
         # padding carries data too, and values spanning six decades make a
         # sum in any other order than x_i @ y_i show in the last bits
         x, y = (rng.normal(0, 1, L.n) * 10.0 ** rng.uniform(-3, 3, L.n) for _ in range(2))
-        dots, norms = L.dot(x, y), L.norm(x)
-        assert dots.shape == norms.shape == (len(L.segments),)
+        dots = L.dot(x, y)
+        assert dots.shape == (len(L.segments),)
         for i in range(len(L.segments)):
             assert dots[i].tobytes() == (part(x, i) @ part(y, i)).tobytes()
-            assert norms[i].tobytes() == np.linalg.norm(part(x, i)).tobytes()
 
     def test_tile_layout_round_trip(self, rng):
         img = rng.uniform(0, 255, (70, 100))

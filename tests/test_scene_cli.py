@@ -613,6 +613,21 @@ class TestCli:
         assert rc == 0
         assert len(out_csv.read_text().splitlines()) == 1 + 144
 
+    @pytest.mark.parametrize("odd_one", ["mask", "input"])
+    def test_spectral_response_rejects_inputs_of_different_sizes(self, tmp_path, capsys,
+                                                                 odd_one):
+        small = self._synth(tmp_path / "small", size=64)
+        large = self._synth(tmp_path / "large", size=96)
+        out_csv = tmp_path / "resp.csv"
+        argv = ["spectral-response", "--guide", str(small / "right.pgm"),
+                "--input", str((large if odd_one == "input" else small) / "right.pgm"),
+                "--filter", "jbf", "--size", "16", "--out", str(out_csv)]
+        if odd_one == "mask":
+            argv += ["--mask", str(self._warp(tmp_path / "large", large) / "mask.pbm")]
+        assert main(argv) == 2
+        assert f"guide/{odd_one}: 64x64 vs 96x96" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_spectral_response_size_cap(self, tmp_path):
         scene_dir = self._synth(tmp_path)
         warp_dir = self._warp(tmp_path, scene_dir)
