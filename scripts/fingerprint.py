@@ -7,8 +7,9 @@ One ``name sha256`` line per output, in a fixed order:
   inputs of the benchmark's three workloads (``perfbench/workloads.py``,
   imported read-only) for seeds 101 and 102;
 * ``ragged``: all six filters on seeded random images with holes whose
-  tilings end in ragged patches, at sigma_r 10 and 3, plus the per-segment
-  ``CGInfo`` of ``cg`` and ``cg0`` on their block operators;
+  tilings end in ragged patches, at sigma_r 10 and 3, plus each block
+  operator itself (its DIA offsets and data and its degrees) and the
+  per-segment ``CGInfo`` of ``cg`` and ``cg0`` on it;
 * ``scene``: the float64 left, right and depth samples of ``synth_scene``
   for a few (size, seed) pairs, which 8-bit PGMs would round away;
 * ``warp``: guide, mask and phase counts of ``warp_guide`` on the
@@ -90,6 +91,8 @@ def section_ragged() -> None:
                 emit(f"{tag}/{kind}", out.samples.tobytes())
             grid = split_patches(noisy, patch)
             L = block_operator(guide, mask, grid, weights)
+            emit(f"{tag}/operator", L.matrix.offsets.tobytes() + L.matrix.data.tobytes()
+                 + L.degrees.tobytes())
             b = normalize_signal(L, grid.to_nodes(noisy.to_array(), 0.0))
             for variant in ("cg", "cg0"):
                 _, info = cg_filter(L, b, 3, variant, return_info=True)

@@ -119,10 +119,14 @@ class PixelGraph:
 
 
 def bilateral_weights(d: np.ndarray, params: WeightParams) -> np.ndarray:
-    """exp(-d^2 / (2 sigma_r^2)) of guide differences d; an exponent that
-    overflows gives the weight 0 it tends to."""
+    """exp(-d^2 / (2 sigma_r^2)) of float64 guide differences d, written
+    into d, which is returned; a square or exponent that overflows to
+    infinity gives the weight 0 it tends to."""
     with np.errstate(over="ignore"):
-        return np.exp(-(d**2) * (1.0 / (2.0 * params.sigma_r**2)))
+        np.square(d, out=d)
+        np.negative(d, out=d)
+        np.multiply(d, 1.0 / (2.0 * params.sigma_r**2), out=d)
+        return np.exp(d, out=d)
 
 
 def build_graph(guide: ImageGray, mask: HoleMask, params: WeightParams) -> PixelGraph:
@@ -171,11 +175,17 @@ class NormalizedLaplacian:
     slabs, the rows of ``rows(x)``, with no edges between them; entry i is
     ``slice(None)`` if slab i is one whole graph in its own node order, else
     the index array of that graph's nodes (the rest are padding).
+    ``ragged`` holds the (i, index array) pairs of the latter, found once.
     """
 
     matrix: sp.spmatrix
     degrees: np.ndarray
     segments: tuple = (slice(None),)
+    ragged: tuple = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ragged", tuple(
+            (i, s) for i, s in enumerate(self.segments) if isinstance(s, np.ndarray)))
 
     @property
     def n(self) -> int:
@@ -204,9 +214,8 @@ class NormalizedLaplacian:
         the inner product on that graph's own operator."""
         xs, ys = self.rows(x), self.rows(y)
         d = np.vecdot(xs, ys)
-        for i, s in enumerate(self.segments):
-            if isinstance(s, np.ndarray):
-                d[i] = xs[i][s] @ ys[i][s]
+        for i, s in self.ragged:
+            d[i] = xs[i][s] @ ys[i][s]
         return d
 
 

@@ -6,7 +6,9 @@ edges and no overlap blending.  ``denoise`` runs all patches in one pass:
 ``block_operator`` lays the image out tile by tile (``PatchGrid.to_nodes``)
 and builds one block-diagonal Laplacian, with its degrees, whose segments
 are the patch graphs, straight from the 4-neighbour weights, so a single
-``apply_filter`` call filters the whole image.  Degrees, edge scalings,
+``apply_filter`` call filters the whole image.  It works in contiguous
+passes over the flat node vector, writing each weight straight into its
+row of the DIA matrix and scaling it there in place.  Degrees, edge scalings,
 Laplacian applies and per-segment inner products are evaluated in the same
 floating-point order as on each patch's own ``patch_operator`` graph, so
 the result is bit-identical to filtering the patches one by one, in any
@@ -164,51 +166,56 @@ def block_operator(guide: ImageGray, mask: HoleMask, grid: PatchGrid,
     of all patches as one block-diagonal graph in the grid's tile-major
     node order, with one segment per patch.
 
-    Padding nodes are isolated like holes.  Each patch's degrees, edge
-    scalings and Laplacian rows are computed in the order ``build_graph``
-    and ``normalized_laplacian`` use on that patch alone: degrees sum the
-    right, down, up and left weights in turn, an edge scales as
+    Padding nodes are isolated like holes.  Node v's right and down edges
+    join it to nodes v + 1 and v + cw, for the grid's cell (ch, cw), so
+    each direction is one slice of the flat node vector; an edge with a
+    hole at either end, or leaving the cell, weighs +0.0.  The weights are
+    computed in place in DIA rows 1 (right) and 0 (down), then scaled and
+    negated there, and rows 3 and 4 are their shifted copies.
+
+    Each patch's degrees, edge scalings and Laplacian rows are computed in
+    the order ``build_graph`` and ``normalized_laplacian`` use on that
+    patch alone: degrees sum the right, down, up and left weights in turn
+    (adding the cut edges' +0.0 changes no sum), an edge scales as
     (w s_i) s_j with i < j, and the operator is a DIA matrix with offsets
-    (-cw, -1, 0, 1, cw) for the grid's cell width cw, which sums each row
-    in CSR column order.
+    (-cw, -1, 0, 1, cw), which sums each row in CSR column order.
     """
     import scipy.sparse as sp
 
     check_same_shape(guide, mask, "guide/mask")
     ch, cw = grid.cell
-    g = grid.to_nodes(guide.to_array(), 0.0).reshape(-1, ch, cw)
-    ok = ~grid.to_nodes(mask.to_array(), True).reshape(-1, ch, cw)
-
-    right = np.zeros_like(g)   # weight of the edge to the next column
-    down = np.zeros_like(g)    # weight of the edge to the next row
-    d = g[:, :, :-1] - g[:, :, 1:]
-    right[:, :, :-1] = np.where(ok[:, :, :-1] & ok[:, :, 1:],
-                                bilateral_weights(d, weights), 0.0)
-    d = g[:, :-1, :] - g[:, 1:, :]
-    down[:, :-1, :] = np.where(ok[:, :-1, :] & ok[:, 1:, :],
-                               bilateral_weights(d, weights), 0.0)
+    g = grid.to_nodes(guide.to_array(), 0.0)
+    hole = grid.to_nodes(mask.to_array(), True)
+    n = g.size
+    data = np.empty((5, n))
+    down, right = data[0], data[1]   # weight of node v's edge to v + cw, v + 1
+    cut = np.empty(n, dtype=bool)    # edges with a hole at either end, or leaving the cell
+    for w, step, ends in ((right, 1, cut.reshape(-1, cw)[:, -1]),
+                          (down, cw, cut.reshape(-1, ch, cw)[:, -1])):
+        e = w[:-step]
+        bilateral_weights(np.subtract(g[:-step], g[step:], out=e), weights)
+        np.logical_or(hole[:-step], hole[step:], out=cut[:-step])
+        ends[...] = True
+        np.copyto(e, 0.0, where=cut[:-step])
+        w[-step:] = 0.0
     deg = right + down
-    deg[:, 1:, :] += down[:, :-1, :]
-    deg[:, :, 1:] += right[:, :, :-1]
+    deg[cw:] += down[:-cw]
+    deg[1:] += right[:-1]
 
     noniso = deg > 0
-    inv_sqrt = np.zeros_like(deg)
-    inv_sqrt[noniso] = 1.0 / np.sqrt(deg[noniso])
-    right[:, :, :-1] *= inv_sqrt[:, :, :-1]
-    right[:, :, :-1] *= inv_sqrt[:, :, 1:]
-    down[:, :-1, :] *= inv_sqrt[:, :-1, :]
-    down[:, :-1, :] *= inv_sqrt[:, 1:, :]
-
-    n = deg.size
-    s_right, s_down = right.ravel(), down.ravel()
-    data = np.zeros((5, n))
-    data[0] = -s_down             # A[v + cw, v]
-    data[1] = -s_right            # A[v + 1, v]
-    data[2] = noniso.ravel()      # A[v, v]
-    data[3, 1:] = -s_right[:-1]   # A[v - 1, v]
-    data[4, cw:] = -s_down[:-cw]  # A[v - cw, v]
+    inv_sqrt = np.sqrt(deg)
+    np.divide(1.0, inv_sqrt, out=inv_sqrt, where=noniso)
+    for w, step in ((right, 1), (down, cw)):
+        w[:-step] *= inv_sqrt[:-step]
+        w[:-step] *= inv_sqrt[step:]
+    np.negative(data[:2], out=data[:2])   # A[v + cw, v], A[v + 1, v]
+    data[2] = noniso                      # A[v, v]
+    data[3, 0] = 0.0
+    data[3, 1:] = right[:-1]              # A[v - 1, v]
+    data[4, :cw] = 0.0
+    data[4, cw:] = down[:-cw]             # A[v - cw, v]
     m = sp.dia_matrix((data, np.array([-cw, -1, 0, 1, cw])), shape=(n, n))
-    return NormalizedLaplacian(matrix=m, degrees=_frozen(deg.ravel()),
+    return NormalizedLaplacian(matrix=m, degrees=_frozen(deg),
                                segments=grid.segments())
 
 

@@ -6,16 +6,94 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from graphdenoise import (DimensionMismatchError, FilterKind, FilterSpec,
                           HoleMask, ImageGray, NoiseSpec, WeightParams,
                           add_gaussian_noise, apply_filter, build_graph,
                           denoise, median_fill, normalized_laplacian, pipeline,
                           psnr, split_patches)
+from graphdenoise.graph import NormalizedLaplacian
+from graphdenoise.image import _frozen, check_same_shape
 from graphdenoise.pipeline import (PatchGrid, block_operator, extract_patch,
                                    patch_operator)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def reference_bilateral_weights(d, params):
+    """The weight formula as a fresh array, as it was before it wrote into d."""
+    with np.errstate(over="ignore"):
+        return np.exp(-(d**2) * (1.0 / (2.0 * params.sigma_r**2)))
+
+
+def reference_block_operator(guide, mask, grid, weights):
+    """The replaced assembly on (tile, row, col) views, kept verbatim."""
+    check_same_shape(guide, mask, "guide/mask")
+    ch, cw = grid.cell
+    g = grid.to_nodes(guide.to_array(), 0.0).reshape(-1, ch, cw)
+    ok = ~grid.to_nodes(mask.to_array(), True).reshape(-1, ch, cw)
+
+    right = np.zeros_like(g)   # weight of the edge to the next column
+    down = np.zeros_like(g)    # weight of the edge to the next row
+    d = g[:, :, :-1] - g[:, :, 1:]
+    right[:, :, :-1] = np.where(ok[:, :, :-1] & ok[:, :, 1:],
+                                reference_bilateral_weights(d, weights), 0.0)
+    d = g[:, :-1, :] - g[:, 1:, :]
+    down[:, :-1, :] = np.where(ok[:, :-1, :] & ok[:, 1:, :],
+                               reference_bilateral_weights(d, weights), 0.0)
+    deg = right + down
+    deg[:, 1:, :] += down[:, :-1, :]
+    deg[:, :, 1:] += right[:, :, :-1]
+
+    noniso = deg > 0
+    inv_sqrt = np.zeros_like(deg)
+    inv_sqrt[noniso] = 1.0 / np.sqrt(deg[noniso])
+    right[:, :, :-1] *= inv_sqrt[:, :, :-1]
+    right[:, :, :-1] *= inv_sqrt[:, :, 1:]
+    down[:, :-1, :] *= inv_sqrt[:, :-1, :]
+    down[:, :-1, :] *= inv_sqrt[:, 1:, :]
+
+    n = deg.size
+    s_right, s_down = right.ravel(), down.ravel()
+    data = np.zeros((5, n))
+    data[0] = -s_down             # A[v + cw, v]
+    data[1] = -s_right            # A[v + 1, v]
+    data[2] = noniso.ravel()      # A[v, v]
+    data[3, 1:] = -s_right[:-1]   # A[v - 1, v]
+    data[4, cw:] = -s_down[:-cw]  # A[v - cw, v]
+    m = sp.dia_matrix((data, np.array([-cw, -1, 0, 1, cw])), shape=(n, n))
+    return NormalizedLaplacian(matrix=m, degrees=_frozen(deg.ravel()),
+                               segments=grid.segments())
+
+
+# 1-wide and 1-high images, ragged patches and patches larger than the
+# image, all-hole tiles, and sigma_r from all-underflowing to near-uniform
+# weights
+@example(seed=0, width=1, height=70, patch=80, holes=0.0, sigma_r=10.0)
+@example(seed=1, width=70, height=1, patch=8, holes=0.2, sigma_r=1e3)
+@example(seed=2, width=33, height=47, patch=16, holes=1.0, sigma_r=0.5)
+@example(seed=3, width=45, height=30, patch=16, holes=0.1, sigma_r=10.0)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 70),
+       height=st.integers(1, 70), patch=st.integers(8, 80),
+       holes=st.floats(0.0, 1.0), sigma_r=st.sampled_from([0.5, 10.0, 1e3]))
+def test_block_operator_matches_the_replaced_assembly_bitwise(seed, width, height, patch,
+                                                              holes, sigma_r):
+    rng = np.random.default_rng(seed)
+    guide = ImageGray.from_array(rng.uniform(0, 255, (height, width)))
+    mask = HoleMask.from_array(rng.random((height, width)) < holes)
+    grid, weights = split_patches(guide, patch), WeightParams(sigma_r)
+    L = block_operator(guide, mask, grid, weights)
+    ref = reference_block_operator(guide, mask, grid, weights)
+    assert L.matrix.offsets.tobytes() == ref.matrix.offsets.tobytes()
+    assert L.matrix.data.tobytes() == ref.matrix.data.tobytes()
+    assert L.degrees.tobytes() == ref.degrees.tobytes()
+    assert len(L.segments) == len(ref.segments)
+    for s, r in zip(L.segments, ref.segments):
+        assert type(s) is type(r)
+        assert s == r if isinstance(s, slice) else s.tobytes() == r.tobytes()
 
 
 class TestNoise:
