@@ -8,8 +8,10 @@ One ``name sha256`` line per output, in a fixed order:
   imported read-only) for seeds 101 and 102;
 * ``ragged``: all six filters on seeded random images with holes whose
   tilings end in ragged patches, at sigma_r 10 and 3, plus each block
-  operator itself (its DIA offsets and data and its degrees) and the
-  per-segment ``CGInfo`` of ``cg`` and ``cg0`` on it;
+  operator itself (its DIA offsets and data and its degrees), all six
+  filters' ``apply_filter`` on it (whose values at isolated nodes
+  ``denoise``'s median fill mostly overwrites) and the per-segment
+  ``CGInfo`` of ``cg`` and ``cg0`` on it;
 * ``scene``: the float64 left, right and depth samples of ``synth_scene``
   for a few (size, seed) pairs, which 8-bit PGMs would round away;
 * ``warp``: guide, mask and phase counts of ``warp_guide`` on the
@@ -72,7 +74,8 @@ def section_ragged() -> None:
     import numpy as np
 
     from graphdenoise import (FilterKind, FilterSpec, HoleMask, ImageGray,
-                              WeightParams, denoise, normalize_signal)
+                              WeightParams, apply_filter, denoise,
+                              normalize_signal)
     from graphdenoise.filters import cg_filter
     from graphdenoise.pipeline import block_operator, split_patches
 
@@ -93,7 +96,11 @@ def section_ragged() -> None:
             L = block_operator(guide, mask, grid, weights)
             emit(f"{tag}/operator", L.matrix.offsets.tobytes() + L.matrix.data.tobytes()
                  + L.degrees.tobytes())
-            b = normalize_signal(L, grid.to_nodes(noisy.to_array(), 0.0))
+            b_hat = grid.to_nodes(noisy.to_array(), 0.0)
+            for kind in KINDS:
+                emit(f"{tag}/{kind}.apply_filter",
+                     apply_filter(FilterSpec(FilterKind(kind)), L, b_hat).tobytes())
+            b = normalize_signal(L, b_hat)
             for variant in ("cg", "cg0"):
                 _, info = cg_filter(L, b, 3, variant, return_info=True)
                 emit(f"{tag}/{variant}.info",

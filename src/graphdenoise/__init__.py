@@ -15,7 +15,7 @@ from .filters import (FilterKind, FilterSpec, PolyExpansion, apply_filter,
                       cg_filter, cheb_design, gbjbf_degree, jbf,
                       poly_expand_gbjbf, poly_filter, quadratic_objective)
 from .graph import (NormalizedLaplacian, PixelGraph, WeightParams, build_graph,
-                    denormalize_signal, normalize_signal, normalized_laplacian)
+                    normalize_signal, normalized_laplacian)
 from .image import HoleMask, ImageGray
 from .dibr import (DepthMap, WarpParams, WarpResult, interp_subpel,
                    median_fill, warp_guide)
@@ -34,10 +34,10 @@ __all__ = [
     "NormalizedLaplacian", "NumericError", "PatchGrid", "PixelGraph",
     "PolyExpansion", "SpectralResponse", "StereoScene", "WarpParams",
     "WarpResult", "WeightParams", "add_gaussian_noise", "apply_filter",
-    "build_graph", "cg_filter", "cheb_design", "denoise",
-    "denormalize_signal", "dense_eig", "exact_filter", "gbjbf_degree",
-    "interp_subpel", "jbf", "krylov_minimize", "measure_response",
-    "median_fill", "normalize_signal", "normalized_laplacian",
-    "poly_expand_gbjbf", "poly_filter", "psnr", "quadratic_objective",
-    "split_patches", "synth_scene", "warp_guide",
+    "build_graph", "cg_filter", "cheb_design", "denoise", "dense_eig",
+    "exact_filter", "gbjbf_degree", "interp_subpel", "jbf",
+    "krylov_minimize", "measure_response", "median_fill",
+    "normalize_signal", "normalized_laplacian", "poly_expand_gbjbf",
+    "poly_filter", "psnr", "quadratic_objective", "split_patches",
+    "synth_scene", "warp_guide",
 ]

@@ -19,13 +19,15 @@ so cost is O(k (n + edges)) for a degree/iteration budget k:
 
 ``FILTERS`` maps each ``FilterKind`` to its normalized-domain fast path and
 its dense oracle reference; ``apply_filter`` dispatches through it and owns
-the D^{+-1/2} round trip, read from the operator's own degrees, so the
-individual filters compose freely.
+the D^{+-1/2} round trip, read from the operator's own degrees, with the
+input restored at isolated nodes on the way back, so the individual
+filters compose freely.
 """
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,7 +35,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .errors import DimensionMismatchError, NumericError
-from .graph import NormalizedLaplacian, denormalize_signal, normalize_signal
+from .graph import NormalizedLaplacian, normalize_signal
 from .image import _frozen
 from .oracle import (cheb_response, dense_eig, exact_filter, gbjbf_response,
                      krylov_minimize)
@@ -75,8 +77,8 @@ class FilterSpec:
     def __post_init__(self):
         if not isinstance(self.kind, FilterKind):
             object.__setattr__(self, "kind", FilterKind(self.kind))
-        if not 1 <= self.k <= MAX_K:
-            raise ValueError(f"k must be in [1, {MAX_K}]")
+        if not (isinstance(self.k, numbers.Integral) and 1 <= self.k <= MAX_K):
+            raise ValueError(f"k must be an integer in [1, {MAX_K}]")
         if not (0.0 < self.l < 2.0):
             raise ValueError("stop-band start l must lie in (0, 2)")
         if not 0 < self.rho < np.inf:
@@ -329,21 +331,24 @@ FILTERS: dict[FilterKind, FilterDef] = {
 
 
 def apply_filter(spec: FilterSpec, L: NormalizedLaplacian, b_hat: np.ndarray) -> np.ndarray:
-    """Normalize by L's degrees, run the selected filter's fast path,
-    denormalize.
+    """Normalize by L's degrees (x = D^{1/2} b_hat), run the selected
+    filter's fast path, and map its output y back with D^{-1/2}.
 
-    Isolated (hole) pixels carry no graph information, so they are passed
-    through bit-identical to the input for every filter kind.  A result
-    that is not finite everywhere raises ``NumericError``.
+    Isolated (degree-0: hole or padding) nodes carry no graph
+    information: the map back puts the input there bit-identical, for
+    every filter kind, in the same pass.  A result that is not finite
+    everywhere raises ``NumericError``.
     """
     b_hat = np.asarray(b_hat, dtype=np.float64)
     if b_hat.shape != (L.n,):
         raise DimensionMismatchError("signal/operator size mismatch")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = denormalize_signal(L, FILTERS[spec.kind].fast(spec, L, normalize_signal(L, b_hat)))
-    iso = L.degrees == 0
-    if np.any(iso):
-        out[iso] = b_hat[iso]
+        out = FILTERS[spec.kind].fast(spec, L, normalize_signal(L, b_hat))
+        # live made after the filter, and the filter output freed once the
+        # result replaces it: other orders made glibc trim the heap and
+        # fault it back in on more calls
+        live = L.degrees > 0
+        out = np.where(live, out / np.where(live, np.sqrt(L.degrees), 1.0), b_hat)
     if not np.isfinite(out).all():
         raise NumericError(f"{spec.kind.value} filter output is not finite")
     return out

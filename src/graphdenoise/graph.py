@@ -11,9 +11,10 @@ edges at all.
 
 The filtering substrate is L = I - D^{-1/2} W D^{-1/2}, a sparse symmetric
 positive semi-definite operator with spectrum in [0, 2].  Rows and columns
-of isolated (degree-0) nodes are identically zero, and the square-root
-degree scalings D^{+-1/2} act as the identity on those coordinates, so any
-filter with unit response at eigenvalue 0 passes hole pixels through.
+of isolated (degree-0) nodes are identically zero.  ``normalize_signal``
+maps a vertex-domain signal in with D^{1/2} and passes isolated
+coordinates through; ``filters.apply_filter`` maps the result back with
+D^{-1/2} and restores the input at isolated nodes in the same pass.
 
 ``NormalizedLaplacian`` carries the degrees D with L, so it is the one
 object a filter needs: L for the products, D for the D^{+-1/2} round
@@ -134,31 +135,16 @@ def build_graph(guide: ImageGray, mask: HoleMask, params: WeightParams) -> Pixel
     check_same_shape(guide, mask, "guide/mask")
     h, w = guide.height, guide.width
     g = guide.to_array()
-    hole = mask.to_array()
-    ok = ~hole
+    ok = ~mask.to_array()
     idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
 
-    parts_i, parts_j, parts_w = [], [], []
-    if w > 1:
-        keep = (ok[:, :-1] & ok[:, 1:]).ravel()
-        d = (g[:, :-1] - g[:, 1:]).ravel()
-        parts_i.append(idx[:, :-1].ravel()[keep])
-        parts_j.append(idx[:, 1:].ravel()[keep])
-        parts_w.append(bilateral_weights(d[keep], params))
-    if h > 1:
-        keep = (ok[:-1, :] & ok[1:, :]).ravel()
-        d = (g[:-1, :] - g[1:, :]).ravel()
-        parts_i.append(idx[:-1, :].ravel()[keep])
-        parts_j.append(idx[1:, :].ravel()[keep])
-        parts_w.append(bilateral_weights(d[keep], params))
-
-    if parts_i:
-        ei = np.concatenate(parts_i)
-        ej = np.concatenate(parts_j)
-        ew = np.concatenate(parts_w)
-    else:
-        ei = ej = np.zeros(0, np.int64)
-        ew = np.zeros(0, np.float64)
+    parts = []
+    for a, b in ((np.s_[:, :-1], np.s_[:, 1:]),   # right edges
+                 (np.s_[:-1], np.s_[1:])):        # down edges
+        keep = (ok[a] & ok[b]).ravel()
+        parts.append((idx[a].ravel()[keep], idx[b].ravel()[keep],
+                      bilateral_weights((g[a] - g[b]).ravel()[keep], params)))
+    ei, ej, ew = (np.concatenate(p) for p in zip(*parts))
     return PixelGraph(n_nodes=h * w, edge_i=ei, edge_j=ej, edge_w=ew)
 
 
@@ -236,25 +222,14 @@ def normalized_laplacian(g: PixelGraph) -> NormalizedLaplacian:
     return NormalizedLaplacian(matrix=m, degrees=deg)
 
 
-def sqrt_degrees(g) -> np.ndarray:
-    return np.sqrt(g.degrees)
-
-
 def normalize_signal(g, xhat: np.ndarray) -> np.ndarray:
     """Vertex-domain signal into the normalized domain: x = D^{1/2} x_hat.
 
     ``g`` is anything with ``degrees`` (an operator or a ``PixelGraph``).
-    Degree-0 coordinates pass through unchanged.
+    Degree-0 coordinates pass through unchanged: they enter the CG
+    filters' per-segment inner products.
     """
     xhat = np.asarray(xhat, dtype=np.float64)
     if xhat.shape != g.degrees.shape:
         raise DimensionMismatchError("signal/graph size mismatch")
-    return np.where(g.degrees > 0, xhat * sqrt_degrees(g), xhat)
-
-
-def denormalize_signal(g, x: np.ndarray) -> np.ndarray:
-    """Back to the vertex domain: x_hat = D^{-1/2} x (identity on degree 0)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != g.degrees.shape:
-        raise DimensionMismatchError("signal/graph size mismatch")
-    return np.where(g.degrees > 0, x / np.where(g.degrees > 0, sqrt_degrees(g), 1.0), x)
+    return np.where(g.degrees > 0, xhat * np.sqrt(g.degrees), xhat)

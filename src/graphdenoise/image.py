@@ -7,6 +7,7 @@ then clamp to [0, 255].  Masks use PBM bit 1 for "hole".
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from typing import ClassVar
@@ -108,33 +109,33 @@ def atomic_write_bytes(path, data: bytes) -> None:
 # ---------------------------------------------------------------------------
 # Netpbm parsing/serialization (P5 binary PGM, P4 binary PBM)
 
+# Header syntax (pgm(5)): tokens separated by whitespace and # comments; a
+# comment runs to its line end and may follow a token directly.
+_GAP = re.compile(rb"(?:\s|#[^\r\n]*)*")
+_TOKEN = re.compile(rb"[^\s#]*")
+_COMMENT = re.compile(rb"(?:#[^\r\n]*)?")
+
+
 def _read_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
-    """Read `count` whitespace-separated integer tokens, skipping # comments.
+    """Read `count` integer header tokens, skipping whitespace and comments.
 
     Returns the tokens and the offset just past the single whitespace byte
-    that terminates the last token.
+    that terminates the last token, or the comment directly after it.
     """
     tokens: list[int] = []
     i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-            continue
-        j = i
-        while j < n and not data[j : j + 1].isspace():
-            j += 1
-        if j == i:
+    for _ in range(count):
+        i = _GAP.match(data, i).end()
+        tok = _TOKEN.match(data, i).group()
+        if not tok:
             raise FileFormatError("truncated netpbm header")
         try:
-            tokens.append(int(data[i:j]))
+            tokens.append(int(tok))
         except ValueError as e:
-            raise FileFormatError(f"bad netpbm header token {data[i:j]!r}") from e
-        i = j
-    if i >= n or not data[i : i + 1].isspace():
+            raise FileFormatError(f"bad netpbm header token {tok!r}") from e
+        i += len(tok)
+    i = _COMMENT.match(data, i).end()
+    if not data[i : i + 1].isspace():
         raise FileFormatError("netpbm header not terminated by whitespace")
     return tokens, i + 1
 
@@ -168,8 +169,10 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     raster = data[off : off + need]
     if len(raster) != need:
         raise FileFormatError(f"{path}: truncated PGM raster")
-    arr = np.frombuffer(raster, dtype=dtype).reshape(h, w).astype(np.int64)
-    return arr, maxval
+    arr = np.frombuffer(raster, dtype=dtype).reshape(h, w)
+    if arr.max() > maxval:
+        raise FileFormatError(f"{path}: PGM sample above maxval {maxval}")
+    return arr.astype(np.int64), maxval
 
 
 def write_pbm(path, flags: np.ndarray) -> None:

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphdenoise import (FilterKind, FilterSpec, HoleMask, ImageGray,
-                          NumericError, PixelGraph, WeightParams, apply_filter,
+from graphdenoise import (DimensionMismatchError, FilterKind, FilterSpec, HoleMask,
+                          ImageGray, NumericError, PixelGraph, WeightParams, apply_filter,
                           build_graph, cg_filter, cheb_design,
                           dense_eig, exact_filter, gbjbf_degree, jbf,
                           krylov_minimize, normalize_signal, normalized_laplacian,
                           poly_expand_gbjbf, poly_filter, quadratic_objective)
-from graphdenoise.filters import MAX_K, PolyExpansion
-from graphdenoise.graph import sqrt_degrees
+from graphdenoise.filters import FILTERS, MAX_K, PolyExpansion
 from graphdenoise.oracle import cheb_response, gbjbf_response
 from graphdenoise.pipeline import block_operator, patch_operator, split_patches
 
@@ -31,7 +30,7 @@ class TestJbf:
 
     def test_nullvector_unchanged(self, rng):
         g, L = random_guide_patch(rng, 5, 7)
-        v = sqrt_degrees(g)
+        v = np.sqrt(g.degrees)
         np.testing.assert_allclose(jbf(L, v), v, atol=1e-12 * v.max())
 
     def test_edgeless_graph_identity(self):
@@ -105,7 +104,7 @@ class TestChebFilter:
 
     def test_nullvector_unchanged(self, rng):
         g, L = random_guide_patch(rng, 6, 6)
-        v = sqrt_degrees(g)
+        v = np.sqrt(g.degrees)
         out = poly_filter(L, v, cheb_design(3, 0.5))
         np.testing.assert_allclose(out, v, atol=1e-10 * v.max())
 
@@ -261,7 +260,7 @@ class TestCgFilter:
 
     def test_cg0_nullvector_start_returns_input_bits(self, rng):
         g, L = random_guide_patch(rng, 6, 6)
-        v = sqrt_degrees(g)
+        v = np.sqrt(g.degrees)
         out, info = cg_filter(L, v, 3, "cg0", return_info=True)
         assert np.array_equal(out, v)
         assert info.iterations == 0
@@ -306,7 +305,7 @@ class TestCgFilter:
         for _ in range(10):
             g = random_connected_graph(rng)
             L = normalized_laplacian(g)
-            v0 = sqrt_degrees(g)
+            v0 = np.sqrt(g.degrees)
             v0 = v0 / np.linalg.norm(v0)
             b = rng.normal(0, 1, g.n_nodes)
             b -= (b @ v0) * v0
@@ -318,7 +317,7 @@ class TestCgFilter:
         for _ in range(10):
             g = random_connected_graph(rng)
             L = normalized_laplacian(g)
-            v = sqrt_degrees(g)
+            v = np.sqrt(g.degrees)
             b = rng.normal(0, 1, g.n_nodes)
             x = cg_filter(L, b, 4, "cg0")
             assert abs(x @ v - b @ v) <= 1e-10 * max(1.0, abs(b @ v))
@@ -383,7 +382,62 @@ class TestLinearity:
             assert np.max(np.abs(lhs - rhs)) <= 1e-9 * scale
 
 
+def denormalize_signal(g, x: np.ndarray) -> np.ndarray:
+    """Back to the vertex domain: x_hat = D^{-1/2} x (identity on degree 0)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != g.degrees.shape:
+        raise DimensionMismatchError("signal/graph size mismatch")
+    return np.where(g.degrees > 0, x / np.where(g.degrees > 0, np.sqrt(g.degrees), 1.0), x)
+
+
+def apply_filter_two_passes(spec, L, b_hat):
+    """``apply_filter`` as it was before the map back and the restore of
+    isolated nodes became one pass, kept verbatim (with the deleted
+    ``graph.denormalize_signal`` above) as the pin for that pass."""
+    b_hat = np.asarray(b_hat, dtype=np.float64)
+    if b_hat.shape != (L.n,):
+        raise DimensionMismatchError("signal/operator size mismatch")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = denormalize_signal(L, FILTERS[spec.kind].fast(spec, L, normalize_signal(L, b_hat)))
+    iso = L.degrees == 0
+    if np.any(iso):
+        out[iso] = b_hat[iso]
+    if not np.isfinite(out).all():
+        raise NumericError(f"{spec.kind.value} filter output is not finite")
+    return out
+
+
+def filtered_bytes(apply, spec, L, b_hat):
+    try:
+        return apply(spec, L, b_hat).tobytes()
+    except NumericError:
+        return NumericError
+
+
 class TestApplyFilter:
+    # sigma_r 1e-3 underflows every weight between unequal guide levels, so
+    # non-hole nodes have degree 0 too; the first tile is all holes
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 40),
+           height=st.integers(1, 40), patch=st.sampled_from([8, 16]),
+           sigma_r=st.sampled_from([10.0, 1.0, 1e-3]),
+           special=st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+    def test_matches_the_two_pass_version(self, seed, width, height, patch, sigma_r,
+                                          special):
+        r = np.random.default_rng(seed)
+        guide = ImageGray.from_array(r.integers(0, 4, (height, width)).astype(np.float64))
+        holes = r.random((height, width)) < r.uniform(0.0, 0.5)
+        holes[:patch, :patch] = True
+        mask = HoleMask.from_array(holes)
+        grid = split_patches(guide, patch)
+        L = block_operator(guide, mask, grid, WeightParams(sigma_r=sigma_r))
+        b_hat = grid.to_nodes(r.uniform(0.0, 255.0, (height, width)), 0.0)
+        iso = np.flatnonzero(L.degrees == 0)
+        b_hat[iso[r.random(iso.size) < 0.5]] = special
+        for kind in FilterKind:
+            spec = FilterSpec(kind)
+            assert (filtered_bytes(apply_filter, spec, L, b_hat)
+                    == filtered_bytes(apply_filter_two_passes, spec, L, b_hat))
+
     def test_jbf_constant_image_unchanged(self):
         guide = ImageGray.from_array(np.full((8, 8), 50.0))
         noisy = np.full(64, 131.25)
@@ -399,16 +453,12 @@ class TestApplyFilter:
         via_spec = apply_filter(spec, L, b_hat)
         x = normalize_signal(g, b_hat)
         direct = poly_filter(L, x, cheb_design(1, 0.5))
-        from graphdenoise import denormalize_signal
-
         np.testing.assert_array_equal(via_spec, denormalize_signal(g, direct))
 
     def test_gbjbf_dispatch_routes_to_exact_solve(self, rng):
         g, L = random_guide_patch(rng, 6, 6)
         b_hat = rng.uniform(0, 255, g.n_nodes)
         out = apply_filter(FilterSpec(FilterKind.GBJBF, rho=2.0), L, b_hat)
-        from graphdenoise import denormalize_signal
-
         series = poly_expand_gbjbf(gbjbf_degree(2.0), 2.0)
         ref = denormalize_signal(g, poly_filter(L, normalize_signal(g, b_hat), series))
         np.testing.assert_array_equal(out, ref)
@@ -454,3 +504,16 @@ class TestFilterSpecValidation:
     def test_rejects_bad_parameters(self, kw):
         with pytest.raises(ValueError):
             FilterSpec(FilterKind.K_CHEB, **kw)
+
+    @pytest.mark.parametrize("k", [3.5, 3.0, np.float64(3.0), "3"])
+    def test_rejects_a_k_that_is_not_an_integer(self, k):
+        for kind in FilterKind:
+            with pytest.raises(ValueError, match="integer"):
+                FilterSpec(kind, k=k)
+
+    def test_numpy_integer_k_is_valid(self, rng):
+        spec = FilterSpec(FilterKind.K_CG0, k=np.int64(3))
+        g, L = random_guide_patch(rng, 6, 6)
+        b_hat = rng.uniform(0, 255, g.n_nodes)
+        assert (apply_filter(spec, L, b_hat).tobytes()
+                == apply_filter(FilterSpec(FilterKind.K_CG0, k=3), L, b_hat).tobytes())

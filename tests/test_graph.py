@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphdenoise import (DimensionMismatchError, HoleMask, ImageGray,
-                          PixelGraph, WeightParams, build_graph,
-                          denormalize_signal, normalize_signal,
+from graphdenoise import (DimensionMismatchError, FilterKind, FilterSpec,
+                          HoleMask, ImageGray, PixelGraph, WeightParams,
+                          apply_filter, build_graph, normalize_signal,
                           normalized_laplacian)
-from graphdenoise.graph import sqrt_degrees
+from graphdenoise.filters import FILTERS, FilterDef
+from graphdenoise.graph import bilateral_weights
 
 from conftest import path_graph, random_guide_patch, two_node_graph
 
@@ -88,7 +89,7 @@ class TestLaplacian:
 
     def test_apply_nullvector(self, rng):
         g, L = random_guide_patch(rng, 9, 6)
-        v = sqrt_degrees(g)
+        v = np.sqrt(g.degrees)
         assert np.max(np.abs(L.apply(v))) <= 1e-12 * v.max()
 
     def test_operator_carries_the_graph_degrees(self, rng):
@@ -122,12 +123,21 @@ class TestLaplacian:
         assert np.all(quad / sq <= 2 + 1e-12)
 
 
+def round_trip(L, x):
+    """``apply_filter`` with an identity fast path: x mapped into the
+    normalized domain and back."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(FILTERS, FilterKind.JBF, FilterDef(
+            fast=lambda spec, L, x: x, reference=lambda spec, L, x: x))
+        return apply_filter(FilterSpec(FilterKind.JBF), L, x)
+
+
 class TestNormalization:
     def test_unit_degrees_identity(self):
         g = two_node_graph(1.0)
         x = np.array([0.3, -2.0])
         assert normalize_signal(g, x).tolist() == x.tolist()
-        assert denormalize_signal(g, x).tolist() == x.tolist()
+        assert round_trip(normalized_laplacian(g), x).tolist() == x.tolist()
 
     def test_degree_four_scaling(self):
         # center of a 3x3 constant-guide patch has degree 4
@@ -142,23 +152,71 @@ class TestNormalization:
         g = PixelGraph.from_edges(3, [(0, 1, 2.0)])
         x = np.array([1.0, 2.0, 0.1234])
         assert normalize_signal(g, x)[2] == x[2]
-        assert denormalize_signal(g, x)[2] == x[2]
 
     @given(st.integers(0, 2**32 - 1))
     def test_round_trip_within_one_ulp(self, seed):
         # multiply-then-divide by sqrt(degree) is correctly rounded at each
         # step, so the round trip lands on the input or an adjacent float;
-        # isolated coordinates are exact by the identity convention.
+        # isolated coordinates are restored exactly.
         r = np.random.default_rng(seed)
         guide = ImageGray.from_array(r.uniform(0, 255, (4, 5)))
         holes = HoleMask.from_array(r.random((4, 5)) < 0.25)
         g = build_graph(guide, holes, WeightParams())
         x = r.normal(128, 60, 20)
-        rt = denormalize_signal(g, normalize_signal(g, x))
+        rt = round_trip(normalized_laplacian(g), x)
         iso = g.degrees == 0
         assert np.array_equal(rt[iso], x[iso])
         ok = (rt == x) | (rt == np.nextafter(x, np.inf)) | (rt == np.nextafter(x, -np.inf))
         assert np.all(ok)
+
+
+def build_graph_two_blocks(guide, mask, params):
+    """``build_graph`` with one copy-pasted block per edge direction, kept
+    verbatim as the pin for its one direction loop."""
+    h, w = guide.height, guide.width
+    g = guide.to_array()
+    hole = mask.to_array()
+    ok = ~hole
+    idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
+
+    parts_i, parts_j, parts_w = [], [], []
+    if w > 1:
+        keep = (ok[:, :-1] & ok[:, 1:]).ravel()
+        d = (g[:, :-1] - g[:, 1:]).ravel()
+        parts_i.append(idx[:, :-1].ravel()[keep])
+        parts_j.append(idx[:, 1:].ravel()[keep])
+        parts_w.append(bilateral_weights(d[keep], params))
+    if h > 1:
+        keep = (ok[:-1, :] & ok[1:, :]).ravel()
+        d = (g[:-1, :] - g[1:, :]).ravel()
+        parts_i.append(idx[:-1, :].ravel()[keep])
+        parts_j.append(idx[1:, :].ravel()[keep])
+        parts_w.append(bilateral_weights(d[keep], params))
+
+    if parts_i:
+        ei = np.concatenate(parts_i)
+        ej = np.concatenate(parts_j)
+        ew = np.concatenate(parts_w)
+    else:
+        ei = ej = np.zeros(0, np.int64)
+        ew = np.zeros(0, np.float64)
+    return PixelGraph(n_nodes=h * w, edge_i=ei, edge_j=ej, edge_w=ew)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 7),
+       st.sampled_from([10.0, 1.0, 1e-3]))
+def test_build_graph_matches_the_two_block_version(seed, w, h, sigma_r):
+    # sizes 1 wide or 1 high have no edges in one direction (or none at all)
+    r = np.random.default_rng(seed)
+    guide = ImageGray.from_array(r.integers(0, 4, (h, w)).astype(np.float64))
+    holes = HoleMask.from_array(r.random((h, w)) < 0.3)
+    params = WeightParams(sigma_r=sigma_r)
+    new = build_graph(guide, holes, params)
+    old = build_graph_two_blocks(guide, holes, params)
+    assert new.n_nodes == old.n_nodes
+    for name in ("edge_i", "edge_j", "edge_w", "degrees"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(2, 7))
@@ -179,7 +237,7 @@ def test_graph_invariants_random(seed, w, h):
     np.testing.assert_allclose(deg, g.degrees, rtol=1e-14, atol=0)
 
     L = normalized_laplacian(g)
-    v = sqrt_degrees(g)
+    v = np.sqrt(g.degrees)
     if v.max() > 0:
         assert np.max(np.abs(L.apply(v))) <= 1e-12 * v.max()
     x = r.normal(0, 1, g.n_nodes)

@@ -148,6 +148,23 @@ class TestPnmIo:
         arr, maxval = read_pgm(p)
         assert arr.tolist() == [[1, 2], [3, 4]]
 
+    @pytest.mark.parametrize("header", [b"P5\n4#c\n4\n255\n", b"P5\n4 4\n255#c\n"])
+    def test_comment_right_after_a_header_token(self, tmp_path, header):
+        # pgm(5): a comment may follow a token directly, also the maxval
+        raster = bytes(range(16))
+        plain, commented = tmp_path / "a.pgm", tmp_path / "b.pgm"
+        plain.write_bytes(b"P5\n4 4\n255\n" + raster)
+        commented.write_bytes(header + raster)
+        assert read_pgm(commented)[0].tobytes() == read_pgm(plain)[0].tobytes()
+
+    def test_token_with_trailing_garbage_rejected(self, tmp_path):
+        from graphdenoise import FileFormatError
+
+        p = tmp_path / "x.pgm"
+        p.write_bytes(b"P5\n4x\n4\n255\n" + bytes(16))
+        with pytest.raises(FileFormatError, match="4x"):
+            read_pgm(p)
+
 
 class TestCli:
     def _synth(self, tmp_path, size=96):
@@ -562,6 +579,21 @@ class TestCli:
                    "--mask", str(warp_dir / "mask.pbm"),
                    "--filter", "cheb", "--out", str(out)])
         assert rc == 3
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_pgm_sample_above_maxval_is_format_error(self, tmp_path, rng):
+        image, mask = tmp_path / "image.pgm", tmp_path / "mask.pbm"
+        write_pgm(image, rng.integers(0, 256, (16, 16)))
+        write_pbm(mask, np.zeros((16, 16), bool))
+        guide, depth = tmp_path / "guide.pgm", tmp_path / "depth.pgm"
+        guide.write_bytes(b"P5\n16 16\n100\n" + bytes([200]) * 256)
+        depth.write_bytes(b"P5\n16 16\n1000\n" + b"\xff\xff" * 256)
+        out = tmp_path / "run"
+        assert main(["denoise", "--clean", str(image), "--guide", str(guide),
+                     "--mask", str(mask), "--filter", "cheb", "--out", str(out)]) == 3
+        assert not out.exists() or not any(out.iterdir())
+        assert main(["warp", "--source", str(image), "--depth", str(depth),
+                     "--scale", str(DEPTH_SCALE), "--out", str(out)]) == 3
         assert not out.exists() or not any(out.iterdir())
 
     def test_denoise_precomputed_noisy_input(self, tmp_path):

@@ -54,14 +54,16 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in lines.values())
     names = list(lines)
     # workloads: 3 workloads x 2 seeds x 6 filters;
-    # ragged: 4 tilings x 2 sigma_r x (6 filters + the operator + 2 CGInfo);
+    # ragged: 4 tilings x 2 sigma_r x (6 filters + the operator
+    #         + 6 apply_filter + 2 CGInfo);
     # scene: 4 (size, seed) pairs x (left, right, depth);
     # warp: (2 ramp seeds + 2 scene directions) x (guide, mask, phase counts)
     assert sum(n.startswith("workloads/") for n in names) == 3 * 2 * 6
     assert {n.split("/")[1] for n in names if n.startswith("workloads/")} == \
         {"cli_chain", "filter_sweep", "ramp_disparity"}
-    assert sum(n.startswith("ragged/") for n in names) == 4 * 2 * 9
+    assert sum(n.startswith("ragged/") for n in names) == 4 * 2 * 15
     assert sum(n.endswith("/operator") for n in names) == 4 * 2
+    assert sum(n.endswith(".apply_filter") for n in names) == 4 * 2 * 6
     assert [n for n in names if n.startswith("scene/")] == [
         f"scene/{case}/{out}"
         for case in ("64s2014", "100s3", "257s11", "1000s2014")
