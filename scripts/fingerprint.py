@@ -23,6 +23,11 @@ One ``name sha256`` line per output, in a fixed order:
   ``--patch 64`` for every filter, ``spectral-response`` for every filter)
   and the CSVs of ``scripts/export_responses.py``.
 
+Each float64 ``denoise`` output of ``workloads`` and ``ragged`` is followed
+by a ``.u8`` line hashing the 8-bit image ``save_image`` would write
+(``quantize_u8``), so a diff shows at once whether a change that moves
+float64 digits on purpose moved any 8-bit image.
+
 Outputs are bit-identical between two checkouts when the lines are:
 
     python scripts/fingerprint.py > new.txt
@@ -55,6 +60,14 @@ def emit(name: str, data: bytes) -> None:
     print(f"{name} {hashlib.sha256(data).hexdigest()}", flush=True)
 
 
+def emit_denoised(name: str, img) -> None:
+    """A denoised image's float64 samples, then its 8-bit quantization."""
+    from graphdenoise.image import quantize_u8
+
+    emit(name, img.samples.tobytes())
+    emit(f"{name}.u8", quantize_u8(img).tobytes())
+
+
 def section_workloads() -> None:
     import workloads
 
@@ -67,7 +80,7 @@ def section_workloads() -> None:
                 noisy, guide, mask, _clean = w.filter_inputs()
                 for kind in KINDS:
                     out = workloads.denoise(noisy, guide, mask, kind)
-                    emit(f"workloads/{wname}/seed{seed}/{kind}", out.samples.tobytes())
+                    emit_denoised(f"workloads/{wname}/seed{seed}/{kind}", out)
 
 
 def section_ragged() -> None:
@@ -91,7 +104,7 @@ def section_ragged() -> None:
             for kind in KINDS:
                 out, _ = denoise(noisy, guide, mask, FilterSpec(FilterKind(kind)),
                                  weights, patch_size=patch)
-                emit(f"{tag}/{kind}", out.samples.tobytes())
+                emit_denoised(f"{tag}/{kind}", out)
             grid = split_patches(noisy, patch)
             L = block_operator(guide, mask, grid, weights)
             emit(f"{tag}/operator", L.matrix.offsets.tobytes() + L.matrix.data.tobytes()

@@ -53,15 +53,21 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     lines = dict(line.split(" ") for line in capsys.readouterr().out.splitlines())
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in lines.values())
     names = list(lines)
-    # workloads: 3 workloads x 2 seeds x 6 filters;
-    # ragged: 4 tilings x 2 sigma_r x (6 filters + the operator
-    #         + 6 apply_filter + 2 CGInfo);
+    # workloads: 3 workloads x 2 seeds x 6 filters x (float64, 8-bit);
+    # ragged: 4 tilings x 2 sigma_r x (6 filters x (float64, 8-bit)
+    #         + the operator + 6 apply_filter + 2 CGInfo);
     # scene: 4 (size, seed) pairs x (left, right, depth);
     # warp: (2 ramp seeds + 2 scene directions) x (guide, mask, phase counts)
-    assert sum(n.startswith("workloads/") for n in names) == 3 * 2 * 6
+    assert sum(n.startswith("workloads/") for n in names) == 3 * 2 * 6 * 2
     assert {n.split("/")[1] for n in names if n.startswith("workloads/")} == \
         {"cli_chain", "filter_sweep", "ramp_disparity"}
-    assert sum(n.startswith("ragged/") for n in names) == 4 * 2 * 15
+    assert sum(n.startswith("ragged/") for n in names) == 4 * 2 * 21
+    # each float64 denoise output is followed by its 8-bit line
+    denoised = [n for n in names if n.startswith(("workloads/", "ragged/"))
+                and n.rsplit("/", 1)[1] in {kind.value for kind in FilterKind}]
+    assert len(denoised) == 3 * 2 * 6 + 4 * 2 * 6
+    assert all(names[names.index(n) + 1] == f"{n}.u8" for n in denoised)
+    assert sum(n.endswith(".u8") for n in names) == len(denoised)
     assert sum(n.endswith("/operator") for n in names) == 4 * 2
     assert sum(n.endswith(".apply_filter") for n in names) == 4 * 2 * 6
     assert [n for n in names if n.startswith("scene/")] == [
