@@ -191,7 +191,8 @@ def poly_filter(L: NormalizedLaplacian, b: np.ndarray, p: PolyExpansion) -> np.n
         t_next -= t_cur
         t_next *= 2.0
         t_next -= t_prev
-        acc += c[j] * t_next
+        # the product goes into the dying T_{j-1}, but never into b
+        acc += np.multiply(c[j], t_next, out=None if t_prev is b else t_prev)
         t_prev, t_cur = t_cur, t_next
     return acc
 
