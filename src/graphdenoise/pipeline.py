@@ -119,11 +119,27 @@ class PatchGrid:
 
     def to_nodes(self, a: np.ndarray, fill) -> np.ndarray:
         """A (height, width) array in tile-major node order, padded with
-        fill."""
+        fill.
+
+        Each node is written once, through the (ty, ch, tx, cw) view of
+        the tile-major buffer: the padding below and right of the image,
+        then the image in up to four blocks (whole tiles, the clipped last
+        tile column, the clipped last tile row and their corner), each a
+        reshape of a slice of ``a`` with no copy of its own."""
         ty, tx, ch, cw = self._tiles()
-        pad = np.full((ty * ch, tx * cw), fill, dtype=np.asarray(a).dtype)
-        pad[: self.height, : self.width] = a
-        return pad.reshape(ty, ch, tx, cw).swapaxes(1, 2).reshape(-1)
+        a = np.asarray(a)
+        fy, rh = divmod(self.height, ch)
+        fx, rw = divmod(self.width, cw)
+        out = np.empty(ty * ch * tx * cw, dtype=a.dtype)
+        v = out.reshape(ty, tx, ch, cw).swapaxes(1, 2)
+        v[fy:, rh:] = fill
+        v[:, :, fx:, rw:] = fill
+        for tys, ys, h in ((np.s_[:fy], np.s_[: fy * ch], ch), (np.s_[fy:], np.s_[fy * ch :], rh)):
+            for txs, xs, w in ((np.s_[:fx], np.s_[: fx * cw], cw),
+                               (np.s_[fx:], np.s_[fx * cw :], rw)):
+                block = v[tys, :h, txs, :w]
+                block[...] = a[ys, xs].reshape(block.shape)
+        return out
 
     def from_nodes(self, x: np.ndarray) -> np.ndarray:
         """Inverse of ``to_nodes``: the (height, width) image, padding

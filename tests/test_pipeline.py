@@ -141,6 +141,30 @@ class TestPatches:
         with pytest.raises(ValueError):
             split_patches(img, 7)
 
+    # one-row and one-column images, images smaller than the patch, whole
+    # and ragged tilings
+    @example(seed=0, width=1, height=30, patch=8)
+    @example(seed=1, width=30, height=1, patch=64)
+    @example(seed=2, width=64, height=128, patch=32)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 90),
+           height=st.integers(1, 90), patch=st.integers(8, 100))
+    def test_to_nodes_matches_the_replaced_padded_copy(self, seed, width, height, patch):
+        def reference_to_nodes(grid, a, fill):
+            """The replaced padded image and its tile-major copy, verbatim."""
+            ty, tx, ch, cw = grid._tiles()
+            pad = np.full((ty * ch, tx * cw), fill, dtype=np.asarray(a).dtype)
+            pad[: grid.height, : grid.width] = a
+            return pad.reshape(ty, ch, tx, cw).swapaxes(1, 2).reshape(-1)
+
+        rng = np.random.default_rng(seed)
+        grid = PatchGrid(width, height, patch)
+        for a, fill in ((rng.uniform(0, 255, (height, width)), 0.0),
+                        (rng.random((height, width)) < 0.3, True)):
+            nodes = grid.to_nodes(a, fill)
+            ref = reference_to_nodes(grid, a, fill)
+            assert nodes.dtype == ref.dtype and nodes.tobytes() == ref.tobytes()
+            assert grid.from_nodes(nodes).tobytes() == a.tobytes()
+
 
 class TestDenoise:
     def _inputs(self, rng, size=32):
