@@ -109,8 +109,9 @@ def atomic_write_bytes(path, data: bytes) -> None:
 # ---------------------------------------------------------------------------
 # Netpbm parsing/serialization (P5 binary PGM, P4 binary PBM)
 
-# Header syntax (pgm(5)): tokens separated by whitespace and # comments; a
-# comment runs to its line end and may follow a token directly.
+# Header syntax (pgm(5)): tokens of ASCII decimal digits separated by
+# whitespace and # comments; a comment runs to its line end and may follow a
+# token directly.
 _GAP = re.compile(rb"(?:\s|#[^\r\n]*)*")
 _TOKEN = re.compile(rb"[^\s#]*")
 _COMMENT = re.compile(rb"(?:#[^\r\n]*)?")
@@ -129,10 +130,10 @@ def _read_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
         tok = _TOKEN.match(data, i).group()
         if not tok:
             raise FileFormatError("truncated netpbm header")
-        try:
-            tokens.append(int(tok))
-        except ValueError as e:
-            raise FileFormatError(f"bad netpbm header token {tok!r}") from e
+        # bytes.isdigit is ASCII-only; int() alone would also take "+4" and "1_6"
+        if not tok.isdigit():
+            raise FileFormatError(f"bad netpbm header token {tok!r}")
+        tokens.append(int(tok))
         i += len(tok)
     i = _COMMENT.match(data, i).end()
     if not data[i : i + 1].isspace():

@@ -165,6 +165,23 @@ class TestPnmIo:
         with pytest.raises(FileFormatError, match="4x"):
             read_pgm(p)
 
+    @pytest.mark.parametrize("token", [b"1_6", b"+4", b"-4", b"0x4", b"4.0",
+                                       "\u0664".encode()])
+    def test_header_token_other_than_ascii_digits_rejected(self, tmp_path, token):
+        # pgm(5): a header number is ASCII decimal digits; int() took "1_6" as 16
+        from graphdenoise import FileFormatError
+
+        p = tmp_path / "x.pgm"
+        p.write_bytes(b"P5\n" + token + b" 4\n255\n" + bytes(64))
+        with pytest.raises(FileFormatError, match="bad netpbm header token"):
+            read_pgm(p)
+
+    def test_header_token_with_leading_zero_loads(self, tmp_path):
+        p = tmp_path / "z.pgm"
+        p.write_bytes(b"P5\n04 02\n0255\n" + bytes(range(8)))
+        arr, maxval = read_pgm(p)
+        assert maxval == 255 and arr.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
 
 class TestCli:
     def _synth(self, tmp_path, size=96):
@@ -595,6 +612,25 @@ class TestCli:
         assert main(["warp", "--source", str(image), "--depth", str(depth),
                      "--scale", str(DEPTH_SCALE), "--out", str(out)]) == 3
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("header", [b"P5\n1_6 16\n255\n", b"P5\n+16 +16\n255\n"])
+    def test_header_token_not_ascii_digits_exits_3(self, tmp_path, rng, capsys, header):
+        image, mask = tmp_path / "image.pgm", tmp_path / "mask.pbm"
+        write_pgm(image, rng.integers(0, 256, (16, 16)))
+        write_pbm(mask, np.zeros((16, 16), bool))
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(header + bytes(256))
+        depth = tmp_path / "depth.pgm"
+        depth.write_bytes(header.replace(b"255", b"1000") + bytes(512))
+        out = tmp_path / "run"
+        assert main(["denoise", "--clean", str(image), "--guide", str(bad),
+                     "--mask", str(mask), "--filter", "cheb", "--out", str(out)]) == 3
+        assert main(["warp", "--source", str(image), "--depth", str(depth),
+                     "--scale", str(DEPTH_SCALE), "--out", str(out)]) == 3
+        assert not out.exists()
+        capsys.readouterr()
+        assert main(["psnr", str(bad), str(bad)]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_denoise_precomputed_noisy_input(self, tmp_path):
         scene_dir = self._synth(tmp_path)
