@@ -5,8 +5,11 @@ so cost is O(k (n + edges)) for a degree/iteration budget k:
 
 * ``jbf``        -- the one-step neighborhood average b - L b.
 * ``poly_filter``-- a truncated Chebyshev series (``chebyshev_series``)
-                    run by its three-term recurrence: ``poly`` at degree k
-                    and ``gbjbf`` at the degree ``gbjbf_degree(rho)``,
+                    run by its three-term recurrence in t = L - I, stepped
+                    with L's off-diagonal part N (one product per degree,
+                    no diagonal row; p(0) b at isolated nodes, where N is
+                    0 rather than -1; b itself never written): ``poly`` at
+                    degree k and ``gbjbf`` at the degree ``gbjbf_degree(rho)``,
                     whose coefficient tail is <= 1e-13, of the closed-form
                     regularized filter 1/(1 + rho lambda^2); ``cheb`` is
                     the series of the degree-k minimax low-pass whose
@@ -175,25 +178,36 @@ def poly_filter(L: NormalizedLaplacian, b: np.ndarray, p: PolyExpansion) -> np.n
     """Evaluate the series at the operator.
 
     Uses the three-term recurrence T_{j+1}(t) = 2 t T_j(t) - T_{j-1}(t)
-    with t = L - I, costing exactly k Laplacian applications.  Each step
-    updates ``L.apply``'s fresh output and the sum in place: the
+    with t = L - I, which on live nodes is exactly N = L.off_diagonal, L
+    without its unit diagonal: each step is one product with N (a 4-row
+    matvec on the block operator) and costs one ``apply``, k in all.
+
+    Each step updates ``N.apply``'s fresh output and the sum in place, and
+    writes the product c_j T_j into the dying T_{j-1} rather than a new
+    temporary, so a step allocates only the matvec's output: the
     allocating form's temporaries made glibc trim the heap and fault it
-    back in on every call.
+    back in on every call, and a preallocated product buffer, one more
+    live n-vector, faulted more.  T_0 is b, the caller's input, which is
+    never written.
+
+    At isolated (degree-0) nodes N is 0, not t = -1, so the recurrence
+    evaluates the series at lambda = 1 there; the result is overwritten
+    with p(0) b, the response at the eigenvalue 0 such a node carries.
     """
     b = np.asarray(b, dtype=np.float64)
-    c = p.coeffs
-    t_prev, t_cur = b, L.apply(b)
-    t_cur -= b
+    N, c = L.off_diagonal, p.coeffs
+    t_prev, t_cur = b, N.apply(b)
     acc = c[0] * b
     acc += c[1] * t_cur
     for j in range(2, p.k + 1):
-        t_next = L.apply(t_cur)
-        t_next -= t_cur
+        t_next = N.apply(t_cur)
         t_next *= 2.0
         t_next -= t_prev
         # the product goes into the dying T_{j-1}, but never into b
         acc += np.multiply(c[j], t_next, out=None if t_prev is b else t_prev)
         t_prev, t_cur = t_cur, t_next
+    iso = np.flatnonzero(L.degrees == 0)
+    acc[iso] = p.evaluate(0.0) * b[iso]
     return acc
 
 

@@ -18,20 +18,23 @@ D^{-1/2} and restores the input at isolated nodes in the same pass.
 
 ``NormalizedLaplacian`` carries the degrees D with L, so it is the one
 object a filter needs: L for the products, D for the D^{+-1/2} round
-trip.  An operator may be block diagonal over several disjoint graphs, its
-*segments*, the rows of a (segments, slab) view: the image pipeline
-filters every patch at once this way, and a ``PixelGraph`` gives one row.
-Inner products come one per row (one ``vecdot``, ragged rows gathered),
-so the CG filters' loop (``filters.cg_filter``) keeps one step size per
-graph, broadcast.
+trip, and ``off_diagonal``, L without its diagonal, for the polynomial
+filters' recurrence.  An operator may be block diagonal over several
+disjoint graphs, its *segments*, the rows of a (segments, slab) view: the
+image pipeline filters every patch at once this way, and a ``PixelGraph``
+gives one row.  Inner products come one per row (one ``vecdot``, ragged
+rows gathered), so the CG filters' loop (``filters.cg_filter``) keeps one
+step size per graph, broadcast.
 
 ``scipy.sparse`` is imported only where a matrix is assembled
-(``normalized_laplacian`` and ``pipeline.block_operator``), so a process
-that builds no operator never loads it.
+(``normalized_laplacian``, ``off_diagonal`` and
+``pipeline.block_operator``), so a process that builds no operator never
+loads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -176,6 +179,32 @@ class NormalizedLaplacian:
     @property
     def n(self) -> int:
         return self.degrees.size
+
+    @cached_property
+    def off_diagonal(self) -> NormalizedLaplacian:
+        """N = -D^{-1/2} W D^{-1/2}, this operator without its diagonal, as
+        an operator over the same degrees and segments, built on first use.
+
+        N is L - I on live nodes, whose diagonal is 1, and 0 like L on
+        isolated ones.  Over a DIA matrix it is a view of the same data
+        with the diagonal row moved to offset n + 1, outside the matrix,
+        where no other row lies, so its products skip that row.  Any other
+        format gives a CSR matrix of the off-diagonal entries in column
+        order, explicit zeros kept.
+        """
+        import scipy.sparse as sp
+
+        m = self.matrix
+        if m.format == "dia":
+            offsets = m.offsets.copy()
+            offsets[offsets == 0] = self.n + 1
+            off = sp.dia_matrix((m.data, offsets), shape=m.shape)
+        else:
+            c = m.tocoo()
+            keep = c.row != c.col
+            off = sp.csr_matrix((c.data[keep], (c.row[keep], c.col[keep])), shape=m.shape)
+            off.sum_duplicates()
+        return NormalizedLaplacian(matrix=off, degrees=self.degrees, segments=self.segments)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from graphdenoise import (DimensionMismatchError, FilterKind, FilterSpec, HoleMask,
@@ -109,8 +109,8 @@ class TestChebFilter:
         np.testing.assert_allclose(out, v, atol=1e-10 * v.max())
 
     def test_edgeless_graph_near_identity(self):
-        # on the zero operator the series sums c_j T_j(-1) term by term,
-        # re-rounding per term, so it is identity only to a few ulps
+        # every node is isolated, so the filter returns p(0) b, and p(0),
+        # the series summed at lambda = 0, is 1 only to a few ulps
         b = np.array([4.0, -1.0, 0.25])
         for k in (1, 2, 5):
             out = poly_filter(edgeless(3), b, cheb_design(k, 0.5))
@@ -200,13 +200,17 @@ class TestPolyFilter:
         with pytest.raises(ValueError):
             PolyExpansion(k=k, coeffs=np.array(coeffs))
 
-    def test_writes_no_input(self, rng):
-        # the recurrence steps in place, on arrays it allocated itself
+    @pytest.mark.parametrize("k", [1, 2, 3, 34])
+    def test_writes_no_input(self, rng, k):
+        # the recurrence steps in place, on arrays it allocated itself, and
+        # reuses the dying T_{j-1} for its products, except T_0 = b
         g, L = random_guide_patch(rng, 5, 5)
         b = rng.normal(0, 1, g.n_nodes)
+        before = b.tobytes()
+        poly_filter(L, b, poly_expand_gbjbf(k, 2.0))
+        assert b.tobytes() == before
         b.flags.writeable = False
-        for k in (1, 2, 5):
-            poly_filter(L, b, cheb_design(k, 0.5))
+        poly_filter(L, b, cheb_design(k, 0.5))
 
     def test_matches_exact_filter(self, rng):
         for _ in range(5):
@@ -224,22 +228,99 @@ class TestPolyFilter:
         g, L = random_guide_patch(rng, 4, 4)
 
         class CountingOperator:
-            def __init__(self, inner):
-                self.inner = inner
-                self.n = inner.n
-                self.calls = 0
+            """Counts the applies of an operator and of its off-diagonal
+            part, which the recurrence steps with."""
+
+            def __init__(self, inner, calls):
+                self.inner, self.calls = inner, calls
+                self.n, self.degrees = inner.n, inner.degrees
+
+            @property
+            def off_diagonal(self):
+                return CountingOperator(self.inner.off_diagonal, self.calls)
 
             def apply(self, x):
-                self.calls += 1
+                self.calls.append(self.inner)
                 return self.inner.apply(x)
 
         b = rng.normal(0, 1, g.n_nodes)
-        counter = CountingOperator(L)
-        poly_filter(counter, b, poly_expand_gbjbf(k, 2.0))
-        assert counter.calls == k
-        counter = CountingOperator(L)
-        poly_filter(counter, b, cheb_design(k, 0.5))
-        assert counter.calls == k
+        for p in (poly_expand_gbjbf(k, 2.0), cheb_design(k, 0.5)):
+            calls = []
+            poly_filter(CountingOperator(L, calls), b, p)
+            assert len(calls) == k
+            assert all(op is L.off_diagonal for op in calls)
+
+    def test_isolated_nodes_get_the_response_at_zero(self, rng):
+        # N is 0 at a degree-0 node, which the filter must not read as
+        # lambda = 1: spectral-response measures these nodes directly
+        guide = ImageGray.from_array(rng.uniform(0, 255, (6, 6)))
+        holes = rng.random((6, 6)) < 0.3
+        holes[0, :2] = True
+        g = build_graph(guide, HoleMask.from_array(holes), WeightParams())
+        L = normalized_laplacian(g)
+        iso = g.degrees == 0
+        b = rng.normal(0, 1, g.n_nodes)
+        for p in (poly_expand_gbjbf(gbjbf_degree(2.0), 2.0), poly_expand_gbjbf(3, 2.0),
+                  cheb_design(3, 0.5), cheb_design(1, 0.5)):
+            out = poly_filter(L, b, p)
+            assert out[iso].tobytes() == (p.evaluate(0.0) * b[iso]).tobytes()
+
+
+def reference_poly_filter(L, b, p):
+    """The replaced recurrence in t = L - I, kept verbatim, the pin for the
+    one in N = L.off_diagonal."""
+    b = np.asarray(b, dtype=np.float64)
+    c = p.coeffs
+    t_prev, t_cur = b, L.apply(b)
+    t_cur -= b
+    acc = c[0] * b
+    acc += c[1] * t_cur
+    for j in range(2, p.k + 1):
+        t_next = L.apply(t_cur)
+        t_next -= t_cur
+        t_next *= 2.0
+        t_next -= t_prev
+        acc += c[j] * t_next
+        t_prev, t_cur = t_cur, t_next
+    return acc
+
+
+class TestOffDiagonalRecurrence:
+    # DIA block operators on ragged tilings, one-row and one-column images
+    # among them, and CSR operators of single patches; the recurrence in N
+    # moves only rounding on live nodes, and apply_filter still restores
+    # the input exactly at isolated ones
+    @example(seed=0, width=30, height=1, patch=8, holes=0.1, csr=False)
+    @example(seed=1, width=1, height=30, patch=64, holes=0.0, csr=False)
+    @example(seed=2, width=45, height=30, patch=16, holes=0.2, csr=False)
+    @example(seed=3, width=17, height=11, patch=8, holes=0.2, csr=True)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 50),
+           height=st.integers(1, 50), patch=st.integers(8, 64),
+           holes=st.floats(0.0, 0.5), csr=st.booleans())
+    def test_matches_the_replaced_recurrence(self, seed, width, height, patch, holes, csr):
+        r = np.random.default_rng(seed)
+        guide = ImageGray.from_array(r.uniform(0, 255, (height, width)))
+        mask = HoleMask.from_array(r.random((height, width)) < holes)
+        grid, weights = split_patches(guide, patch), WeightParams(float(r.choice([3.0, 10.0])))
+        image = r.uniform(0, 255, (height, width))
+        if csr:
+            L = normalized_laplacian(build_graph(guide, mask, weights))
+            b_hat = image.ravel()
+        else:
+            L = block_operator(guide, mask, grid, weights)
+            b_hat = grid.to_nodes(image, 0.0)
+        live = L.degrees > 0
+        b = normalize_signal(L, b_hat)
+        k = int(r.integers(1, 41))
+        for p in (poly_expand_gbjbf(gbjbf_degree(2.0), 2.0), poly_expand_gbjbf(k, 2.0),
+                  cheb_design(k, float(r.uniform(0.1, 1.9)))):
+            out, ref = poly_filter(L, b, p), reference_poly_filter(L, b, p)
+            if live.any():
+                err = np.max(np.abs(out[live] - ref[live]))
+                assert err <= 1e-14 * np.max(np.abs(ref[live]))
+        for kind in (FilterKind.GBJBF, FilterKind.K_POLY, FilterKind.K_CHEB):
+            out = apply_filter(FilterSpec(kind), L, b_hat)
+            assert out[~live].tobytes() == b_hat[~live].tobytes()
 
 
 class TestCgFilter:

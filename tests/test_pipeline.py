@@ -96,6 +96,40 @@ def test_block_operator_matches_the_replaced_assembly_bitwise(seed, width, heigh
         assert s == r if isinstance(s, slice) else s.tobytes() == r.tobytes()
 
 
+# a one-row image whose cell width equals n, so n itself would collide
+# with the offset cw; a one-column image; ragged tilings; a single patch
+# as the CSR operator of its own graph
+@pytest.mark.parametrize("h, w, patch, csr", [(1, 30, 64, False), (30, 1, 8, False),
+                                              (20, 33, 16, False), (45, 30, 16, False),
+                                              (20, 33, 64, True)])
+def test_off_diagonal_is_the_operator_without_its_diagonal(rng, h, w, patch, csr):
+    guide = ImageGray.from_array(rng.uniform(0, 255, (h, w)))
+    mask = HoleMask.from_array(rng.random((h, w)) < 0.1)
+    if csr:
+        L = patch_operator(guide, mask, (0, 0, w, h), WeightParams())
+    else:
+        L = block_operator(guide, mask, split_patches(guide, patch), WeightParams())
+    N = L.off_diagonal
+    assert N is L.off_diagonal                     # built once
+    assert N.degrees is L.degrees and N.segments == L.segments
+    live = L.degrees > 0
+    if csr:
+        assert N.matrix.format == "csr" and N.matrix.has_sorted_indices
+        assert N.matrix.nnz == L.matrix.nnz - np.count_nonzero(live)
+    else:
+        # the same DIA data, its diagonal row moved outside the matrix
+        assert np.shares_memory(N.matrix.data, L.matrix.data)
+        assert N.matrix.nnz == L.matrix.nnz - L.n
+        assert N.matrix.offsets.tolist() == [-min(patch, max(w, 2)), -1, L.n + 1, 1,
+                                             min(patch, max(w, 2))]
+    expected = L.matrix.toarray()
+    np.fill_diagonal(expected, 0.0)
+    assert N.matrix.toarray().tobytes() == expected.tobytes()
+    x = rng.normal(0, 1, L.n)
+    np.testing.assert_allclose(N.apply(x)[live], (L.apply(x) - x)[live], rtol=0, atol=1e-15)
+    assert not np.any(N.apply(x)[~live])
+
+
 class TestNoise:
     def test_sigma_zero_bit_identical(self, rng):
         img = ImageGray.from_array(rng.uniform(0, 255, (16, 16)))
