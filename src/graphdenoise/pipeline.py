@@ -134,7 +134,8 @@ class PatchGrid:
         v = out.reshape(ty, tx, ch, cw).swapaxes(1, 2)
         v[fy:, rh:] = fill
         v[:, :, fx:, rw:] = fill
-        for tys, ys, h in ((np.s_[:fy], np.s_[: fy * ch], ch), (np.s_[fy:], np.s_[fy * ch :], rh)):
+        for tys, ys, h in ((np.s_[:fy], np.s_[: fy * ch], ch),
+                           (np.s_[fy:], np.s_[fy * ch :], rh)):
             for txs, xs, w in ((np.s_[:fx], np.s_[: fx * cw], cw),
                                (np.s_[fx:], np.s_[fx * cw :], rw)):
                 block = v[tys, :h, txs, :w]
