@@ -200,17 +200,18 @@ class TestPolyFilter:
         with pytest.raises(ValueError):
             PolyExpansion(k=k, coeffs=np.array(coeffs))
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 34])
-    def test_writes_no_input(self, rng, k):
+    def test_writes_no_input(self, rng):
         # the recurrence steps in place, on arrays it allocated itself, and
         # reuses the dying T_{j-1} for its products, except T_0 = b
         g, L = random_guide_patch(rng, 5, 5)
         b = rng.normal(0, 1, g.n_nodes)
         before = b.tobytes()
-        poly_filter(L, b, poly_expand_gbjbf(k, 2.0))
-        assert b.tobytes() == before
+        for k in (1, 2, 3, 34):
+            poly_filter(L, b, poly_expand_gbjbf(k, 2.0))
+            assert b.tobytes() == before
         b.flags.writeable = False
-        poly_filter(L, b, cheb_design(k, 0.5))
+        for k in (1, 2, 3, 34):
+            poly_filter(L, b, cheb_design(k, 0.5))
 
     def test_matches_exact_filter(self, rng):
         for _ in range(5):
