@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_filter_flags(p)
     p.add_argument("--patch", type=int, default=64)
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect (all "
-                        "patches are filtered in one pass)")
+                   help="at least 1; accepted for compatibility and has no "
+                        "effect (all patches are filtered in one pass)")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle",
                    help="verify every patch against the dense oracle "
                         "(requires --patch <= 32 and, for cg and cg0, a "
@@ -135,6 +135,8 @@ def cmd_denoise(args) -> int:
     weights = WeightParams(sigma_r=args.sigma_r)
     if args.patch < pipeline.MIN_PATCH_SIZE:
         raise ValueError(f"--patch must be >= {pipeline.MIN_PATCH_SIZE}")
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
     if args.check_oracle:
         if args.patch > _SPECTRAL_PATCH_CAP:
             raise ValueError("--check-oracle requires --patch <= 32")

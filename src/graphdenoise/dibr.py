@@ -185,22 +185,27 @@ def median_fill(img: ImageGray, mask: HoleMask) -> ImageGray:
     pass is order-free and idempotent; even-sized neighbor sets use the
     lower-middle order statistic; a hole with no available neighbor keeps
     its input value.  Non-hole pixels are untouched.  All holes are done
-    at once: their 8 neighbors are gathered with NaN marking unavailable
-    ones (so NaN samples count as unavailable), and each row is sorted
-    stably, which puts the NaNs last.
+    at once: their 8 neighbors are gathered by flat index, with NaN
+    marking unavailable ones (so NaN samples count as unavailable), and
+    each row is sorted stably, which puts the NaNs last.
     """
     check_same_shape(img, mask, "image/mask")
-    hole = mask.to_array()
-    out = img.to_array().copy()
-    ys, xs = np.nonzero(hole)
-    padded = np.pad(np.where(hole, np.nan, out), 1, constant_values=np.nan)
-    nbrs = np.stack([padded[ys + 1 + dy, xs + 1 + dx]
-                     for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx], axis=1)
+    w = img.width
+    holes = np.flatnonzero(mask.flags)
+    steps = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
+    # the neighbors' flat indices, clipped into the image; those outside it
+    # or on a hole are True in the mask padded by one pixel of True
+    nbrs = img.samples.take(holes[:, None] + [dy * w + dx for dy, dx in steps],
+                            mode="clip")
+    gone = np.pad(mask.to_array(), 1, constant_values=True).ravel()
+    centres = holes + 2 * (holes // w) + (w + 3)
+    nbrs[gone[centres[:, None] + [dy * (w + 2) + dx for dy, dx in steps]]] = np.nan
     nbrs.sort(axis=1, kind="stable")
     count = np.count_nonzero(~np.isnan(nbrs), axis=1)
     some = count > 0
-    out[ys[some], xs[some]] = nbrs[some, (count[some] - 1) // 2]
-    return ImageGray.from_array(out)
+    out = img.samples.copy()
+    out[holes[some]] = nbrs[some, (count[some] - 1) // 2]
+    return ImageGray(img.width, img.height, out)
 
 
 # ---------------------------------------------------------------------------
@@ -220,5 +225,6 @@ def load_depth(path, disparity_scale: float) -> DepthMap:
     arr, _maxval = read_pgm(path)
     # an overflowing product is left to DepthMap's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        values = arr.astype(np.float64) * disparity_scale
+        values = arr.astype(np.float64)
+        values *= disparity_scale
     return DepthMap.from_array(values)

@@ -11,10 +11,11 @@ edges at all.
 
 The filtering substrate is L = I - D^{-1/2} W D^{-1/2}, a sparse symmetric
 positive semi-definite operator with spectrum in [0, 2].  Rows and columns
-of isolated (degree-0) nodes are identically zero.  ``normalize_signal``
-maps a vertex-domain signal in with D^{1/2} and passes isolated
-coordinates through; ``filters.apply_filter`` maps the result back with
-D^{-1/2} and restores the input at isolated nodes in the same pass.
+of isolated (degree-0) nodes are identically zero.  ``degree_scale``
+gives D^{1/2} with 1.0 at isolated nodes, so the map in is one multiply
+(``normalize_signal``) that leaves isolated coordinates' bits unchanged;
+``filters.apply_filter`` maps the result back by dividing by D^{1/2} and
+restores the input at isolated nodes.
 
 ``NormalizedLaplacian`` carries the degrees D with L, so it is the one
 object a filter needs: L for the products, D for the D^{+-1/2} round
@@ -128,8 +129,8 @@ def bilateral_weights(d: np.ndarray, params: WeightParams) -> np.ndarray:
     infinity gives the weight 0 it tends to."""
     with np.errstate(over="ignore"):
         np.square(d, out=d)
-        np.negative(d, out=d)
-        np.multiply(d, 1.0 / (2.0 * params.sigma_r**2), out=d)
+        # -(d^2 c) by one multiply: negation is exact, so the bits are the same
+        np.multiply(d, -1.0 / (2.0 * params.sigma_r**2), out=d)
         return np.exp(d, out=d)
 
 
@@ -251,14 +252,24 @@ def normalized_laplacian(g: PixelGraph) -> NormalizedLaplacian:
     return NormalizedLaplacian(matrix=m, degrees=deg)
 
 
+def degree_scale(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = D^{1/2} with 1.0 at isolated nodes (degree not > 0), and the
+    isolated nodes' indices: x_hat * s is x_hat's normalized form."""
+    s = np.sqrt(degrees)
+    isolated = np.flatnonzero(~(degrees > 0))
+    s[isolated] = 1.0
+    return s, isolated
+
+
 def normalize_signal(g, xhat: np.ndarray) -> np.ndarray:
-    """Vertex-domain signal into the normalized domain: x = D^{1/2} x_hat.
+    """Vertex-domain signal into the normalized domain: x = D^{1/2} x_hat,
+    one multiply by ``degree_scale``'s s.
 
     ``g`` is anything with ``degrees`` (an operator or a ``PixelGraph``).
-    Degree-0 coordinates pass through unchanged: they enter the CG
-    filters' per-segment inner products.
+    Degree-0 coordinates are multiplied by 1.0, which leaves their bits
+    unchanged: they enter the CG filters' per-segment inner products.
     """
     xhat = np.asarray(xhat, dtype=np.float64)
     if xhat.shape != g.degrees.shape:
         raise DimensionMismatchError("signal/graph size mismatch")
-    return np.where(g.degrees > 0, xhat * np.sqrt(g.degrees), xhat)
+    return xhat * degree_scale(g.degrees)[0]

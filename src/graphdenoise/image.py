@@ -156,7 +156,8 @@ def write_pgm(path, arr: np.ndarray, maxval: int = 255) -> None:
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
-    """Read a binary PGM; returns (2-D int array, maxval)."""
+    """Read a binary PGM; returns (2-D array, maxval).  The array keeps the
+    file's sample width: uint8, or uint16 in native byte order."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] != b"P5":
@@ -165,15 +166,14 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     off += 2
     if w < 1 or h < 1 or maxval < 1 or maxval > 65535:
         raise FileFormatError(f"{path}: bad PGM geometry {w}x{h} maxval={maxval}")
-    dtype = ">u2" if maxval > 255 else "u1"
-    need = w * h * (2 if maxval > 255 else 1)
-    raster = data[off : off + need]
-    if len(raster) != need:
+    wide = maxval > 255
+    if len(data) - off < w * h * (2 if wide else 1):
         raise FileFormatError(f"{path}: truncated PGM raster")
-    arr = np.frombuffer(raster, dtype=dtype).reshape(h, w)
+    raster = np.frombuffer(data, dtype=">u2" if wide else "u1", count=w * h, offset=off)
+    arr = raster.astype(np.uint16 if wide else np.uint8).reshape(h, w)
     if arr.max() > maxval:
         raise FileFormatError(f"{path}: PGM sample above maxval {maxval}")
-    return arr.astype(np.int64), maxval
+    return arr, maxval
 
 
 def write_pbm(path, flags: np.ndarray) -> None:
@@ -212,7 +212,7 @@ def load_image(path) -> ImageGray:
     arr, maxval = read_pgm(path)
     if maxval > 255:
         raise FileFormatError(f"{path}: 16-bit PGM where an 8-bit image was expected")
-    return ImageGray.from_array(arr.astype(np.float64))
+    return ImageGray.from_array(arr)
 
 
 def save_mask(path, mask: HoleMask) -> None:

@@ -76,8 +76,11 @@ def add_gaussian_noise(img: ImageGray, spec: NoiseSpec) -> ImageGray:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     # an overflowing sample is left to the filters' finiteness check
     with np.errstate(over="ignore"):
-        noise = spec.sigma * rng.standard_normal(img.samples.size)
-        return ImageGray(img.width, img.height, img.samples + noise)
+        # sigma * noise, then samples + that, in the draw's own buffer
+        noisy = rng.standard_normal(img.samples.size)
+        noisy *= spec.sigma
+        noisy += img.samples
+        return ImageGray(img.width, img.height, noisy)
 
 
 @dataclass(frozen=True)
@@ -309,8 +312,10 @@ def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec
             workers: int = 1) -> tuple[ImageGray, DenoiseReport]:
     """Filter each patch on its own guide-derived graph, all patches in one
     pass through the block-diagonal operator, then median-fill the hole
-    pixels of the filtered image.  ``workers`` is accepted for
-    compatibility and has no effect."""
+    pixels of the filtered image.  ``workers`` must be at least 1; it is
+    accepted for compatibility and has no effect."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     check_same_shape(noisy, guide, "noisy/guide")
     check_same_shape(noisy, mask, "noisy/mask")
     grid = split_patches(noisy, patch_size)

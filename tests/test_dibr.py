@@ -355,16 +355,19 @@ class TestMedianFill:
            st.integers(0, 2**32 - 1))
     def test_matches_per_hole_loop(self, h, w, density, seed):
         r = np.random.default_rng(seed)
-        # few distinct values (signed zeros among them) make ties common
-        a = r.choice([-0.0, 0.0, 1.5, 7.0, 255.0], (h, w)) + (r.random((h, w)) < 0.5) * \
-            r.uniform(0, 255, (h, w))
+        # few distinct values (signed zeros among them) make ties common;
+        # NaN samples count as unavailable, infinities as values
+        a = r.choice([-0.0, 0.0, 1.5, 7.0, 255.0, np.nan, np.inf, -np.inf], (h, w))
+        bump = r.random((h, w)) < 0.5   # adding 0.0 elsewhere would turn -0.0 into 0.0
+        a[bump] += r.uniform(0, 255, np.count_nonzero(bump))
         m = r.random((h, w)) < density
         out = median_fill(ImageGray.from_array(a), HoleMask.from_array(m))
         assert out.to_array().tobytes() == _median_fill_loop(a, m).tobytes()
 
 
 def _median_fill_loop(src, hole):
-    """Reference median fill: one hole at a time, Python list median."""
+    """Reference median fill: one hole at a time, Python list median of
+    the in-bounds, non-hole, non-NaN neighbors."""
     h, w = src.shape
     out = src.copy()
     for y, x in zip(*np.nonzero(hole)):
@@ -374,7 +377,8 @@ def _median_fill_loop(src, hole):
                 if dy == 0 and dx == 0:
                     continue
                 yy, xx = y + dy, x + dx
-                if 0 <= yy < h and 0 <= xx < w and not hole[yy, xx]:
+                if (0 <= yy < h and 0 <= xx < w and not hole[yy, xx]
+                        and not np.isnan(src[yy, xx])):
                     vals.append(src[yy, xx])
         if vals:
             vals.sort()

@@ -472,15 +472,46 @@ def denormalize_signal(g, x: np.ndarray) -> np.ndarray:
     return np.where(g.degrees > 0, x / np.where(g.degrees > 0, np.sqrt(g.degrees), 1.0), x)
 
 
-def apply_filter_two_passes(spec, L, b_hat):
-    """``apply_filter`` as it was before the map back and the restore of
-    isolated nodes became one pass, kept verbatim (with the deleted
-    ``graph.denormalize_signal`` above) as the pin for that pass."""
+def normalize_signal_by_where(g, xhat: np.ndarray) -> np.ndarray:
+    """``graph.normalize_signal`` as it was before it became one multiply
+    by ``degree_scale``, kept verbatim."""
+    xhat = np.asarray(xhat, dtype=np.float64)
+    if xhat.shape != g.degrees.shape:
+        raise DimensionMismatchError("signal/graph size mismatch")
+    return np.where(g.degrees > 0, xhat * np.sqrt(g.degrees), xhat)
+
+
+def apply_filter_by_where(spec, L, b_hat):
+    """``apply_filter`` as it was before its round trip became one multiply
+    by ``degree_scale``'s s and one divide by D^{1/2}, kept verbatim (with
+    the ``normalize_signal`` of then, above) as the pin for that round
+    trip."""
     b_hat = np.asarray(b_hat, dtype=np.float64)
     if b_hat.shape != (L.n,):
         raise DimensionMismatchError("signal/operator size mismatch")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = denormalize_signal(L, FILTERS[spec.kind].fast(spec, L, normalize_signal(L, b_hat)))
+        out = FILTERS[spec.kind].fast(spec, L, normalize_signal_by_where(L, b_hat))
+        # live made after the filter, and the filter output freed once the
+        # result replaces it: other orders made glibc trim the heap and
+        # fault it back in on more calls
+        live = L.degrees > 0
+        out = np.where(live, out / np.where(live, np.sqrt(L.degrees), 1.0), b_hat)
+    if not np.isfinite(out).all():
+        raise NumericError(f"{spec.kind.value} filter output is not finite")
+    return out
+
+
+def apply_filter_two_passes(spec, L, b_hat):
+    """``apply_filter`` as it was before the map back and the restore of
+    isolated nodes became one pass, kept verbatim (with the deleted
+    ``graph.denormalize_signal`` above and the ``normalize_signal`` of
+    then) as the pin for that pass."""
+    b_hat = np.asarray(b_hat, dtype=np.float64)
+    if b_hat.shape != (L.n,):
+        raise DimensionMismatchError("signal/operator size mismatch")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = denormalize_signal(L, FILTERS[spec.kind].fast(spec, L,
+                                                            normalize_signal_by_where(L, b_hat)))
     iso = L.degrees == 0
     if np.any(iso):
         out[iso] = b_hat[iso]
@@ -496,29 +527,53 @@ def filtered_bytes(apply, spec, L, b_hat):
         return NumericError
 
 
+def ragged_case(seed, width, height, patch, sigma_r, special):
+    """A block operator on a ragged tiling with holes, and a signal with
+    ``special`` at about half of its isolated nodes.  sigma_r 1e-3
+    underflows every weight between unequal guide levels, so non-hole
+    nodes have degree 0 too; the first tile is all holes."""
+    r = np.random.default_rng(seed)
+    guide = ImageGray.from_array(r.integers(0, 4, (height, width)).astype(np.float64))
+    holes = r.random((height, width)) < r.uniform(0.0, 0.5)
+    holes[:patch, :patch] = True
+    mask = HoleMask.from_array(holes)
+    grid = split_patches(guide, patch)
+    L = block_operator(guide, mask, grid, WeightParams(sigma_r=sigma_r))
+    b_hat = grid.to_nodes(r.uniform(0.0, 255.0, (height, width)), 0.0)
+    iso = np.flatnonzero(L.degrees == 0)
+    b_hat[iso[r.random(iso.size) < 0.5]] = special
+    return L, b_hat
+
+
+RAGGED_CASES = dict(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 40),
+                    height=st.integers(1, 40), patch=st.sampled_from([8, 16]),
+                    sigma_r=st.sampled_from([10.0, 1.0, 1e-3]))
+
+
 class TestApplyFilter:
-    # sigma_r 1e-3 underflows every weight between unequal guide levels, so
-    # non-hole nodes have degree 0 too; the first tile is all holes
-    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 40),
-           height=st.integers(1, 40), patch=st.sampled_from([8, 16]),
-           sigma_r=st.sampled_from([10.0, 1.0, 1e-3]),
+    @given(**RAGGED_CASES,
            special=st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
     def test_matches_the_two_pass_version(self, seed, width, height, patch, sigma_r,
                                           special):
-        r = np.random.default_rng(seed)
-        guide = ImageGray.from_array(r.integers(0, 4, (height, width)).astype(np.float64))
-        holes = r.random((height, width)) < r.uniform(0.0, 0.5)
-        holes[:patch, :patch] = True
-        mask = HoleMask.from_array(holes)
-        grid = split_patches(guide, patch)
-        L = block_operator(guide, mask, grid, WeightParams(sigma_r=sigma_r))
-        b_hat = grid.to_nodes(r.uniform(0.0, 255.0, (height, width)), 0.0)
-        iso = np.flatnonzero(L.degrees == 0)
-        b_hat[iso[r.random(iso.size) < 0.5]] = special
+        L, b_hat = ragged_case(seed, width, height, patch, sigma_r, special)
         for kind in FilterKind:
             spec = FilterSpec(kind)
             assert (filtered_bytes(apply_filter, spec, L, b_hat)
                     == filtered_bytes(apply_filter_two_passes, spec, L, b_hat))
+
+    # 1e160-scale values at isolated nodes overflow the CG filters'
+    # per-segment inner products, which include those nodes
+    @given(**RAGGED_CASES,
+           special=st.sampled_from([-0.0, 1e160, -2.5e160, 5e-324, math.nan]))
+    def test_matches_the_where_version(self, seed, width, height, patch, sigma_r,
+                                       special):
+        L, b_hat = ragged_case(seed, width, height, patch, sigma_r, special)
+        before = b_hat.tobytes()
+        for kind in FilterKind:
+            spec = FilterSpec(kind)
+            assert (filtered_bytes(apply_filter, spec, L, b_hat)
+                    == filtered_bytes(apply_filter_by_where, spec, L, b_hat))
+        assert b_hat.tobytes() == before
 
     def test_jbf_constant_image_unchanged(self):
         guide = ImageGray.from_array(np.full((8, 8), 50.0))

@@ -433,6 +433,13 @@ print(noisy.samples.min(), noisy.samples.max(), out.samples.min(), out.samples.m
         assert np.array_equal(a.samples, b.samples)
         assert ra.to_csv() == rb.to_csv()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, rng, workers):
+        clean, guide, noisy = self._inputs(rng)
+        with pytest.raises(ValueError, match="workers"):
+            denoise(noisy, guide, HoleMask.all_false(32, 32),
+                    FilterSpec(FilterKind.JBF), WeightParams(), workers=workers)
+
     def test_dimension_mismatch(self, rng):
         clean, guide, noisy = self._inputs(rng)
         with pytest.raises(DimensionMismatchError):

@@ -118,6 +118,16 @@ class TestScene:
 
 
 class TestPnmIo:
+    @pytest.mark.parametrize("maxval, dtype", [(255, np.uint8), (65535, np.uint16)])
+    def test_raster_keeps_its_sample_width(self, tmp_path, maxval, dtype):
+        # no widening to int64: uint8, or uint16 in native byte order
+        arr = np.array([[0, 1, maxval // 2], [maxval - 1, maxval, 7]])
+        p = tmp_path / "a.pgm"
+        write_pgm(p, arr, maxval=maxval)
+        back, got = read_pgm(p)
+        assert got == maxval and back.dtype == dtype and back.dtype.isnative
+        assert back.tolist() == arr.tolist()
+
     def test_pgm8_round_trip(self, tmp_path, rng):
         arr = rng.integers(0, 256, (7, 11))
         p = tmp_path / "a.pgm"
@@ -567,7 +577,8 @@ class TestCli:
         ("warp", "--scale", "inf"), ("spectral-response", "--x0", "-1"),
         ("spectral-response", "--y0", "-1"), ("denoise", "--rho", "inf"),
         ("spectral-response", "--rho", "inf"), ("denoise", "--rho", "1e4"),
-        ("spectral-response", "--rho", "1e4")])
+        ("spectral-response", "--rho", "1e4"), ("denoise", "--threads", "0"),
+        ("denoise", "--threads", "-3")])
     def test_bad_flag_is_usage_error_before_any_input(self, tmp_path, capsys,
                                                       command, flag, value):
         # gbjbf: --rho 1e4 needs a series degree above MAX_K
