@@ -26,7 +26,12 @@ One ``name sha256`` line per output, in a fixed order:
 Each float64 ``denoise`` output of ``workloads`` and ``ragged`` is followed
 by a ``.u8`` line hashing the 8-bit image ``save_image`` would write
 (``quantize_u8``), so a diff shows at once whether a change that moves
-float64 digits on purpose moved any 8-bit image.
+float64 digits on purpose moved any 8-bit image.  In ``workloads`` a
+``.fresh`` line comes next: the same filter's float64 output on fresh
+copies of the inputs.  The six filters of the main lines run one after
+another on the same input objects, as a filter sweep does, so they may
+share one assembled operator; each ``.fresh`` line is a problem of its
+own and must hash the same as its main line.
 
 Outputs are bit-identical between two checkouts when the lines are:
 
@@ -77,10 +82,13 @@ def section_workloads() -> None:
                 w = cls(seed, os.path.join(tmp, f"{wname}-{seed}"))
                 w.setup()
                 w.frame()
-                noisy, guide, mask, _clean = w.filter_inputs()
-                for kind in KINDS:
-                    out = workloads.denoise(noisy, guide, mask, kind)
-                    emit_denoised(f"workloads/{wname}/seed{seed}/{kind}", out)
+                inputs = w.filter_inputs()[:3]
+                outs = [workloads.denoise(*inputs, kind) for kind in KINDS]
+                for kind, out in zip(KINDS, outs):
+                    name = f"workloads/{wname}/seed{seed}/{kind}"
+                    emit_denoised(name, out)
+                    fresh = [type(x).from_array(x.to_array().copy()) for x in inputs]
+                    emit(f"{name}.fresh", workloads.denoise(*fresh, kind).samples.tobytes())
 
 
 def section_ragged() -> None:

@@ -4,6 +4,8 @@
 Synthesizes the scene, warps the high-quality left view into the right
 view's perspective, degrades the right view with Gaussian noise, runs every
 filter, and prints a PSNR table next to the published reference results.
+Every filter runs on the same inputs, so ``denoise`` assembles the graph
+operator once: the first filter's time includes that assembly.
 """
 import argparse
 import os

@@ -53,7 +53,11 @@ DENSE_NODE_CAP = 8192
 @dataclass(frozen=True)
 class WeightParams:
     """Bilateral intensity kernel width.  The spatial factor is constant on
-    the 4-connected grid, so sigma_r is the only kernel parameter."""
+    the 4-connected grid, so sigma_r is the only kernel parameter.
+
+    sigma_r is stored as a Python float, so equal params give bit-identical
+    weights: a float32 sigma_r would otherwise compare equal to its float64
+    value yet scale the weights in float32."""
 
     sigma_r: float = 10.0
 
@@ -63,6 +67,7 @@ class WeightParams:
             scale = 1.0 / (2.0 * np.float64(self.sigma_r) ** 2)
         if not (self.sigma_r > 0 and 0.0 < scale < np.inf):  # rejects inf and NaN too
             raise ValueError("sigma_r must be > 0 with 1/(2 sigma_r^2) finite and nonzero")
+        object.__setattr__(self, "sigma_r", float(self.sigma_r))
 
 
 @dataclass(frozen=True)

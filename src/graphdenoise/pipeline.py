@@ -13,11 +13,22 @@ Laplacian applies and per-segment inner products are evaluated in the same
 floating-point order as on each patch's own ``patch_operator`` graph, so
 the result is bit-identical to filtering the patches one by one, in any
 order.
+
+Comparing filters runs ``denoise`` several times on one problem: the same
+noisy image, guide, mask, weights and patch size.  ``denoise`` keeps the
+last problem it assembled, its block operator and tile-major noisy vector,
+in a one-slot memo, so such a sweep assembles once.  The memo holds the
+three images by weak reference and is dropped when one of them dies.
+Before a reuse it checks that their samples are still the ones it was
+built from, since an image made by ``from_array`` is a view of its
+caller's array, which may change.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +70,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError("seed must be an integer >= 0")
 
 
 def add_gaussian_noise(img: ImageGray, spec: NoiseSpec) -> ImageGray:
@@ -98,8 +109,9 @@ class PatchGrid:
     patches: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.patch_size < MIN_PATCH_SIZE:
-            raise ValueError(f"patch_size must be >= {MIN_PATCH_SIZE}")
+        if not (isinstance(self.patch_size, numbers.Integral)
+                and self.patch_size >= MIN_PATCH_SIZE):
+            raise ValueError(f"patch_size must be an integer >= {MIN_PATCH_SIZE}")
         tiles = []
         for y0 in range(0, self.height, self.patch_size):
             for x0 in range(0, self.width, self.patch_size):
@@ -242,8 +254,10 @@ def block_operator(guide: ImageGray, mask: HoleMask, grid: PatchGrid,
 @dataclass
 class DenoiseReport:
     """Run metrics.  PSNR fields are filled by callers that hold the clean
-    reference; filter_seconds (graph assembly plus filtering, wall clock)
-    is deliberately excluded from the deterministic CSV serialization."""
+    reference.  filter_seconds is the wall clock of the filter, plus graph
+    assembly on the call that assembled the operator (not on a call that
+    reuses it for the same problem); it is deliberately excluded from the
+    deterministic CSV serialization."""
 
     hole_pixels: int
     n_patches: int
@@ -307,13 +321,82 @@ def reference_comparison(results_db: dict) -> str:
     return "\n".join(lines)
 
 
+@dataclass(frozen=True, eq=False)
+class _Problem:
+    """One assembled denoise problem: the block operator L and the noisy
+    image in tile-major node order b, with what identifies the problem.
+
+    ``refs`` are weak references to the noisy image, guide and mask, whose
+    callbacks drop the memo when one of them dies; ``guide`` and ``holes``
+    are private copies of the guide's and mask's samples as L was built
+    from them (9 B/pixel)."""
+
+    refs: tuple
+    weights: WeightParams
+    patch_size: int
+    guide: np.ndarray
+    holes: np.ndarray
+    L: NormalizedLaplacian
+    b: np.ndarray
+
+    def serves(self, noisy: ImageGray, guide: ImageGray, mask: HoleMask,
+               grid: PatchGrid, weights: WeightParams, patch_size: int) -> bool:
+        """Whether these inputs pose this problem: the same three objects
+        and parameters, with the same sample bits (b holds noisy's)."""
+        return (all(r() is x for r, x in zip(self.refs, (noisy, guide, mask)))
+                and self.weights == weights and self.patch_size == patch_size
+                and _same_bits(grid.from_nodes(self.b), noisy.to_array())
+                and _same_bits(self.guide, guide.samples)
+                and np.array_equal(self.holes, mask.flags))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Float64 arrays equal bit for bit (so -0.0 differs from 0.0)."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_memo: _Problem | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Weak-reference callback: an input of the memoized problem died."""
+    global _memo
+    if _memo is not None and any(r is ref for r in _memo.refs):
+        _memo = None
+
+
+def _assemble(noisy: ImageGray, guide: ImageGray, mask: HoleMask, grid: PatchGrid,
+              weights: WeightParams, patch_size: int):
+    """(L, b) of this problem: the memo's if it serves these inputs, else
+    assembled and memoized in its place."""
+    global _memo
+    # threads may race on the slot: each call uses the (L, b) it checked or
+    # built, so a lost update costs a rebuild, never a wrong operator
+    m = _memo
+    if m is not None and m.serves(noisy, guide, mask, grid, weights, patch_size):
+        return m.L, m.b
+    # drop the old problem first, so that the call's peak does not hold two
+    _memo = m = None
+    L = block_operator(guide, mask, grid, weights)
+    b = _frozen(grid.to_nodes(noisy.to_array(), 0.0))
+    _memo = _Problem(tuple(weakref.ref(x, _forget) for x in (noisy, guide, mask)),
+                     weights, patch_size, guide.samples.copy(), mask.flags.copy(), L, b)
+    return L, b
+
+
 def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec,
             weights: WeightParams, patch_size: int = 64,
             workers: int = 1) -> tuple[ImageGray, DenoiseReport]:
     """Filter each patch on its own guide-derived graph, all patches in one
     pass through the block-diagonal operator, then median-fill the hole
     pixels of the filtered image.  ``workers`` must be at least 1; it is
-    accepted for compatibility and has no effect."""
+    accepted for compatibility and has no effect.
+
+    The operator is assembled once per problem: a call with the same noisy,
+    guide and mask objects, unchanged, and equal weights and patch size as
+    the call before reuses that call's operator (see the module docstring).
+    The memo keeps about 65 B/pixel alive after the call, until one of the
+    three images dies or another problem is denoised."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     check_same_shape(noisy, guide, "noisy/guide")
@@ -323,8 +406,8 @@ def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec
     # that filter_seconds times assembly and filtering only
     import scipy.sparse  # noqa: F401
     t0 = time.perf_counter()
-    L = block_operator(guide, mask, grid, weights)
-    y = apply_filter(spec, L, grid.to_nodes(noisy.to_array(), 0.0))
+    L, b = _assemble(noisy, guide, mask, grid, weights, patch_size)
+    y = apply_filter(spec, L, b)
     filtered = ImageGray.from_array(grid.from_nodes(y))
     filter_seconds = time.perf_counter() - t0
     filled = median_fill(filtered, mask)

@@ -50,6 +50,22 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="sigma_r"):
             WeightParams(sigma_r=sigma_r)
 
+    def test_equal_weight_params_give_identical_weights(self):
+        # a float32 sigma_r compared equal to its float64 value (same hash)
+        # yet scaled the weights in float32, 8.2e-9 apart at sigma_r 10
+        d = np.linspace(-60.0, 60.0, 241)
+        for value in (np.float32(10.0), np.float32(0.1), 10.0, np.float64(0.1), 3):
+            p, q = WeightParams(value), WeightParams(float(value))
+            assert type(p.sigma_r) is float and p == q and hash(p) == hash(q)
+            assert (bilateral_weights(d.copy(), p).tobytes()
+                    == bilateral_weights(d.copy(), q).tobytes())
+        # a Python float or float64 keeps its bits, and so do the weights
+        for value in (10.0, np.float64(0.1), 1e-3):
+            with np.errstate(over="ignore"):
+                ref = np.exp(d**2 * (-1.0 / (2.0 * value**2)))
+            assert WeightParams(value).sigma_r == value
+            assert bilateral_weights(d.copy(), WeightParams(value)).tobytes() == ref.tobytes()
+
     def test_only_4_neighbour_edges(self):
         g = build_graph(img([[0, 0, 0], [0, 0, 0], [0, 0, 0]]),
                         HoleMask.all_false(3, 3), WeightParams())

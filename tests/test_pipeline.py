@@ -1,7 +1,9 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +146,17 @@ class TestNoise:
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), "7", -1])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSpec(1.0, seed)
+
+    def test_numpy_integer_seed_is_the_same_seed(self, rng):
+        img = ImageGray.from_array(rng.uniform(0, 255, (8, 8)))
+        a = add_gaussian_noise(img, NoiseSpec(sigma=10.0, seed=np.uint32(7)))
+        b = add_gaussian_noise(img, NoiseSpec(sigma=10.0, seed=7))
+        assert a.samples.tobytes() == b.samples.tobytes()
+
     def test_sample_std_near_sigma(self):
         img = ImageGray.from_array(np.full((512, 512), 100.0))
         out = add_gaussian_noise(img, NoiseSpec(sigma=10.0, seed=3))
@@ -174,6 +187,14 @@ class TestPatches:
         img = ImageGray.from_array(rng.uniform(0, 255, (16, 16)))
         with pytest.raises(ValueError):
             split_patches(img, 7)
+
+    @pytest.mark.parametrize("patch", [8.5, 16.0, np.float64(32.0), "16"])
+    def test_non_integral_patch_size_rejected(self, patch):
+        with pytest.raises(ValueError, match="patch_size"):
+            PatchGrid(16, 16, patch)
+
+    def test_numpy_integer_patch_size_is_the_same_grid(self):
+        assert PatchGrid(40, 30, np.int64(16)) == PatchGrid(40, 30, 16)
 
     # one-row and one-column images, images smaller than the patch, whole
     # and ragged tilings
@@ -463,6 +484,101 @@ print(noisy.samples.min(), noisy.samples.max(), out.samples.min(), out.samples.m
         assert "seconds" not in csv
         txt = report.to_text()
         assert "reference comparison" in txt
+
+
+class TestAssemblyMemo:
+    """denoise assembles a problem once and reuses its operator only for
+    the same, unchanged inputs."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        """Weak references to the operators denoise assembles from now on."""
+        built = []
+        real = pipeline.block_operator
+
+        def block_operator(*args):
+            L = real(*args)
+            built.append(weakref.ref(L))
+            return L
+
+        monkeypatch.setattr(pipeline, "block_operator", block_operator)
+        return built
+
+    @staticmethod
+    def _arrays(seed, shape=(40, 70)):
+        rng = np.random.default_rng(seed)
+        clean = rng.uniform(40.0, 215.0, shape)
+        return {"noisy": clean + rng.normal(0.0, 10.0, shape),
+                "guide": clean + rng.normal(0.0, 2.0, shape),
+                "mask": rng.random(shape) < 0.1}
+
+    @classmethod
+    def _problem(cls, seed):
+        a = cls._arrays(seed)
+        return (ImageGray.from_array(a["noisy"]), ImageGray.from_array(a["guide"]),
+                HoleMask.from_array(a["mask"]))
+
+    @staticmethod
+    def _fresh(images, spec, weights, patch) -> bytes:
+        """The output on new copies of the inputs, a problem of its own."""
+        copies = [type(x).from_array(x.to_array().copy()) for x in images]
+        return denoise(*copies, spec, weights, patch_size=patch)[0].samples.tobytes()
+
+    def test_every_filter_gives_the_fresh_bytes_one_assembly_per_problem(
+            self, monkeypatch):
+        A, B = self._problem(1), self._problem(2)
+        runs = [(A, WeightParams(), 16), (B, WeightParams(), 16),
+                (A, WeightParams(), 16), (A, WeightParams(3.0), 16),
+                (A, WeightParams(3.0), 32)]
+        specs = [FilterSpec(kind) for kind in FilterKind]
+        expected = [[self._fresh(p, spec, w, patch) for spec in specs]
+                    for p, w, patch in runs]
+        built = self._spy(monkeypatch)
+        for (p, w, patch), want in zip(runs, expected):
+            got = [denoise(*p, spec, w, patch_size=patch)[0].samples.tobytes()
+                   for spec in specs]
+            assert got == want
+        assert len(built) == len(runs)
+
+    @pytest.mark.parametrize("which", ["noisy", "guide", "mask", "noisy -0.0"])
+    def test_a_changed_caller_array_is_assembled_again(self, monkeypatch, which):
+        arrays = self._arrays(3)
+        arrays["noisy"][5, 7] = 0.0
+        images = (ImageGray.from_array(arrays["noisy"]),
+                  ImageGray.from_array(arrays["guide"]),
+                  HoleMask.from_array(arrays["mask"]))
+        spec, weights = FilterSpec(FilterKind.K_CHEB), WeightParams()
+        denoise(*images, spec, weights, patch_size=16)
+        # from_array keeps a view of the caller's array, so the image changes
+        a = arrays[which.split()[0]]
+        if which == "noisy -0.0":
+            a[5, 7] = -0.0   # equal to 0.0, but not the same bits
+        else:
+            a[5, 7] = ~a[5, 7] if a.dtype == bool else a[5, 7] + 1.0
+        built = self._spy(monkeypatch)
+        out, _ = denoise(*images, spec, weights, patch_size=16)
+        assert len(built) == 1
+        assert out.samples.tobytes() == self._fresh(images, spec, weights, 16)
+
+    def test_the_memo_lets_its_operator_go(self, monkeypatch):
+        built = self._spy(monkeypatch)
+        spec, weights = FilterSpec(FilterKind.JBF), WeightParams()
+        A = self._problem(4)
+        denoise(*A, spec, weights, patch_size=16)
+        assert built[0]() is not None
+        del A
+        gc.collect()
+        assert built[0]() is None
+        A, B = self._problem(4), self._problem(5)
+        denoise(*A, spec, weights, patch_size=16)
+        denoise(*B, spec, weights, patch_size=16)
+        assert built[1]() is None and built[2]() is not None
+
+    def test_a_reuse_still_checks_the_patch_size(self):
+        A = self._problem(6)
+        denoise(*A, FilterSpec(FilterKind.JBF), WeightParams(), patch_size=16)
+        with pytest.raises(ValueError, match="patch_size"):
+            denoise(*A, FilterSpec(FilterKind.JBF), WeightParams(), patch_size=16.0)
 
 
 class TestPsnr:

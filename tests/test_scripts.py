@@ -53,12 +53,12 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     lines = dict(line.split(" ") for line in capsys.readouterr().out.splitlines())
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in lines.values())
     names = list(lines)
-    # workloads: 3 workloads x 2 seeds x 6 filters x (float64, 8-bit);
+    # workloads: 3 workloads x 2 seeds x 6 filters x (float64, 8-bit, fresh);
     # ragged: 4 tilings x 2 sigma_r x (6 filters x (float64, 8-bit)
     #         + the operator + 6 apply_filter + 2 CGInfo);
     # scene: 4 (size, seed) pairs x (left, right, depth);
     # warp: (2 ramp seeds + 2 scene directions) x (guide, mask, phase counts)
-    assert sum(n.startswith("workloads/") for n in names) == 3 * 2 * 6 * 2
+    assert sum(n.startswith("workloads/") for n in names) == 3 * 2 * 6 * 3
     assert {n.split("/")[1] for n in names if n.startswith("workloads/")} == \
         {"cli_chain", "filter_sweep", "ramp_disparity"}
     assert sum(n.startswith("ragged/") for n in names) == 4 * 2 * 21
@@ -68,6 +68,11 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     assert len(denoised) == 3 * 2 * 6 + 4 * 2 * 6
     assert all(names[names.index(n) + 1] == f"{n}.u8" for n in denoised)
     assert sum(n.endswith(".u8") for n in names) == len(denoised)
+    # then, in workloads, the same filter on fresh copies of the inputs
+    fresh = [n for n in denoised if n.startswith("workloads/")]
+    assert all(names[names.index(n) + 2] == f"{n}.fresh" for n in fresh)
+    assert all(lines[f"{n}.fresh"] == lines[n] for n in fresh)
+    assert sum(n.endswith(".fresh") for n in names) == len(fresh)
     assert sum(n.endswith("/operator") for n in names) == 4 * 2
     assert sum(n.endswith(".apply_filter") for n in names) == 4 * 2 * 6
     assert [n for n in names if n.startswith("scene/")] == [
