@@ -13,20 +13,22 @@ One ``name sha256`` line per output, in a fixed order:
   ``denoise``'s median fill mostly overwrites) and the per-segment
   ``CGInfo`` of ``cg`` and ``cg0`` on it;
 * ``scene``: the float64 left, right and depth samples of ``synth_scene``
-  for a few (size, seed) pairs, which 8-bit PGMs would round away;
+  for a few (size, seed) pairs, which 8-bit PGMs would round away, each
+  view followed by its ``.u8`` line;
 * ``warp``: guide, mask and phase counts of ``warp_guide`` on the
   benchmark's generated ramp inputs for seeds 101 and 102 (float sources,
   all four quarter-pel phases) and on the bundled 256x256 scene in both
-  directions;
+  directions, each scene guide followed by its ``.u8`` line;
 * ``cli``: every file the CLI writes for the bundled 128x128 scene
   (``synth``, ``warp``, ``denoise --patch 32 --check-oracle`` and
   ``--patch 64`` for every filter, ``spectral-response`` for every filter)
   and the CSVs of ``scripts/export_responses.py``.
 
-Each float64 ``denoise`` output of ``workloads`` and ``ragged`` is followed
-by a ``.u8`` line hashing the 8-bit image ``save_image`` would write
-(``quantize_u8``), so a diff shows at once whether a change that moves
-float64 digits on purpose moved any 8-bit image.  In ``workloads`` a
+Each float64 ``denoise`` output of ``workloads`` and ``ragged``, each scene
+view and each warped scene guide is followed by a ``.u8`` line hashing the
+8-bit image ``save_image`` would write (``quantize_u8``), so a diff shows
+at once whether a change that moves float64 digits on purpose moved any
+8-bit image.  In ``workloads`` a
 ``.fresh`` line comes next: the same filter's float64 output on fresh
 copies of the inputs.  The six filters of the main lines run one after
 another on the same input objects, as a filter sweep does, so they may
@@ -65,8 +67,8 @@ def emit(name: str, data: bytes) -> None:
     print(f"{name} {hashlib.sha256(data).hexdigest()}", flush=True)
 
 
-def emit_denoised(name: str, img) -> None:
-    """A denoised image's float64 samples, then its 8-bit quantization."""
+def emit_image(name: str, img) -> None:
+    """An image's float64 samples, then its 8-bit quantization."""
     from graphdenoise.image import quantize_u8
 
     emit(name, img.samples.tobytes())
@@ -86,7 +88,7 @@ def section_workloads() -> None:
                 outs = [workloads.denoise(*inputs, kind) for kind in KINDS]
                 for kind, out in zip(KINDS, outs):
                     name = f"workloads/{wname}/seed{seed}/{kind}"
-                    emit_denoised(name, out)
+                    emit_image(name, out)
                     fresh = [type(x).from_array(x.to_array().copy()) for x in inputs]
                     emit(f"{name}.fresh", workloads.denoise(*fresh, kind).samples.tobytes())
 
@@ -112,7 +114,7 @@ def section_ragged() -> None:
             for kind in KINDS:
                 out, _ = denoise(noisy, guide, mask, FilterSpec(FilterKind(kind)),
                                  weights, patch_size=patch)
-                emit_denoised(f"{tag}/{kind}", out)
+                emit_image(f"{tag}/{kind}", out)
             grid = split_patches(noisy, patch)
             L = block_operator(guide, mask, grid, weights)
             emit(f"{tag}/operator", L.matrix.offsets.tobytes() + L.matrix.data.tobytes()
@@ -134,8 +136,8 @@ def section_scene() -> None:
     for size, seed in SCENES:
         sc = synth_scene(size, seed)
         tag = f"scene/{size}s{seed}"
-        emit(f"{tag}/left", sc.left.samples.tobytes())
-        emit(f"{tag}/right", sc.right.samples.tobytes())
+        emit_image(f"{tag}/left", sc.left)
+        emit_image(f"{tag}/right", sc.right)
         emit(f"{tag}/depth", sc.depth.values.tobytes())
 
 
@@ -147,13 +149,16 @@ def section_warp() -> None:
     cases = []
     for seed in SEEDS:
         left, _right, depth, _noise_seed = workloads.ramp_inputs(seed)
-        cases.append((f"ramp/seed{seed}", left, depth, "left_to_right"))
+        cases.append((f"ramp/seed{seed}", left, depth, "left_to_right", False))
     scene = synth_scene(size=256)
     for direction in ("left_to_right", "right_to_left"):
-        cases.append((f"scene256/{direction}", scene.left, scene.depth, direction))
-    for tag, source, depth, direction in cases:
+        cases.append((f"scene256/{direction}", scene.left, scene.depth, direction, True))
+    for tag, source, depth, direction, u8 in cases:
         r = warp_guide(source, depth, WarpParams(direction))
-        emit(f"warp/{tag}/guide", r.guide.samples.tobytes())
+        if u8:
+            emit_image(f"warp/{tag}/guide", r.guide)
+        else:
+            emit(f"warp/{tag}/guide", r.guide.samples.tobytes())
         emit(f"warp/{tag}/mask", r.mask.flags.tobytes())
         emit(f"warp/{tag}/phase_counts", r.phase_counts.tobytes())
 

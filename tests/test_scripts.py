@@ -56,8 +56,9 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     # workloads: 3 workloads x 2 seeds x 6 filters x (float64, 8-bit, fresh);
     # ragged: 4 tilings x 2 sigma_r x (6 filters x (float64, 8-bit)
     #         + the operator + 6 apply_filter + 2 CGInfo);
-    # scene: 4 (size, seed) pairs x (left, right, depth);
-    # warp: (2 ramp seeds + 2 scene directions) x (guide, mask, phase counts)
+    # scene: 4 (size, seed) pairs x (left, left.u8, right, right.u8, depth);
+    # warp: (2 ramp seeds + 2 scene directions) x (guide, mask, phase counts),
+    #       each scene guide followed by its 8-bit line
     assert sum(n.startswith("workloads/") for n in names) == 3 * 2 * 6 * 3
     assert {n.split("/")[1] for n in names if n.startswith("workloads/")} == \
         {"cli_chain", "filter_sweep", "ramp_disparity"}
@@ -67,7 +68,8 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
                 and n.rsplit("/", 1)[1] in {kind.value for kind in FilterKind}]
     assert len(denoised) == 3 * 2 * 6 + 4 * 2 * 6
     assert all(names[names.index(n) + 1] == f"{n}.u8" for n in denoised)
-    assert sum(n.endswith(".u8") for n in names) == len(denoised)
+    # ... as is each scene view and each scene guide (below)
+    assert sum(n.endswith(".u8") for n in names) == len(denoised) + 4 * 2 + 2
     # then, in workloads, the same filter on fresh copies of the inputs
     fresh = [n for n in denoised if n.startswith("workloads/")]
     assert all(names[names.index(n) + 2] == f"{n}.fresh" for n in fresh)
@@ -78,12 +80,12 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     assert [n for n in names if n.startswith("scene/")] == [
         f"scene/{case}/{out}"
         for case in ("64s2014", "100s3", "257s11", "1000s2014")
-        for out in ("left", "right", "depth")]
+        for out in ("left", "left.u8", "right", "right.u8", "depth")]
     assert [n for n in names if n.startswith("warp/")] == [
-        f"warp/{case}/{out}"
-        for case in ("ramp/seed101", "ramp/seed102", "scene256/left_to_right",
-                     "scene256/right_to_left")
-        for out in ("guide", "mask", "phase_counts")]
+        *(f"warp/ramp/{case}/{out}" for case in ("seed101", "seed102")
+          for out in ("guide", "mask", "phase_counts")),
+        *(f"warp/scene256/{case}/{out}" for case in ("left_to_right", "right_to_left")
+          for out in ("guide", "guide.u8", "mask", "phase_counts"))]
     exits = [n for n in names if n.startswith("cli/exit/")]
     assert exits == ["cli/exit/synth", "cli/exit/warp", "cli/exit/denoise/cg0-p32",
                      "cli/exit/denoise/cg0-p64", "cli/exit/spectral/cg0",
