@@ -83,10 +83,15 @@ def check_same_shape(a, b, what: str = "operands") -> None:
 
 
 def quantize_u8(img: ImageGray) -> np.ndarray:
-    """Round half away from zero, clamp to [0, 255], as (height, width) uint8."""
-    x = img.to_array()
-    q = np.trunc(x + np.copysign(0.5, x))
-    return np.clip(q, 0.0, 255.0).astype(np.uint8)
+    """Round half away from zero, clamp to [0, 255], as (height, width) uint8.
+
+    Every sample below 0 clamps to 0, so rounding half up (add 0.5, then
+    truncate) gives the same bytes; it runs in one buffer.
+    """
+    q = img.to_array() + 0.5
+    np.trunc(q, out=q)
+    np.clip(q, 0.0, 255.0, out=q)
+    return q.astype(np.uint8)
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

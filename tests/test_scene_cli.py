@@ -16,8 +16,8 @@ from graphdenoise import (FilterKind, WarpParams, pipeline, scene, synth_scene,
 from graphdenoise.cli import main
 from graphdenoise.dibr import DepthMap, load_depth
 from graphdenoise.filters import FILTERS, FilterDef
-from graphdenoise.image import (ImageGray, load_image, load_mask, read_pgm, write_pbm,
-                               write_pgm)
+from graphdenoise.image import (ImageGray, load_image, load_mask, quantize_u8, read_pgm,
+                               write_pbm, write_pgm)
 from graphdenoise.scene import (BACKGROUND_DISPARITY_PX, DEPTH_SCALE, DEFAULT_SEED,
                                 FOREGROUND_DISPARITY_PX, MAX_SIZE, StereoScene,
                                 _plane_wave_texture, foreground_rect)
@@ -117,7 +117,35 @@ class TestScene:
         assert res.phase_counts[0] > 0  # integer background
 
 
+def _quantize_u8_away_from_zero(img: ImageGray) -> np.ndarray:
+    """The previous ``quantize_u8``, kept verbatim as the reference."""
+    x = img.to_array()
+    q = np.trunc(x + np.copysign(0.5, x))
+    return np.clip(q, 0.0, 255.0).astype(np.uint8)
+
+
+# signed zeros, ties on both sides of 0 and at the top, the doubles next to
+# them, infinities and values beyond any integer dtype
+_QUANTIZE_EDGES = [0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 254.5, 255.5, 256.5, -254.5,
+                   -255.5, np.nextafter(0.5, 0.0), np.nextafter(-0.5, 0.0),
+                   np.nextafter(254.5, 0.0), np.nextafter(255.5, 0.0),
+                   np.nextafter(255.5, np.inf), np.inf, -np.inf, 2.0**52 + 1.0,
+                   2.0**63, -2.0**63, 1e300, -1e300, np.finfo(float).max,
+                   -np.finfo(float).max, 5e-324, -5e-324]
+
+
 class TestPnmIo:
+    @given(st.lists(st.one_of(st.floats(allow_nan=False),
+                              st.floats(-300.0, 300.0),
+                              st.integers(-600, 600).map(lambda n: n / 2)),
+                    min_size=1, max_size=64))
+    @example(_QUANTIZE_EDGES)
+    def test_quantize_u8_rounds_half_away_from_zero(self, values):
+        img = ImageGray.from_array(np.array(values, dtype=np.float64)[None, :])
+        got = quantize_u8(img)
+        assert got.dtype == np.uint8 and got.shape == (1, len(values))
+        assert got.tobytes() == _quantize_u8_away_from_zero(img).tobytes()
+
     @pytest.mark.parametrize("maxval, dtype", [(255, np.uint8), (65535, np.uint16)])
     def test_raster_keeps_its_sample_width(self, tmp_path, maxval, dtype):
         # no widening to int64: uint8, or uint16 in native byte order
