@@ -21,6 +21,7 @@ and acceptance runs.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,8 @@ def synth_scene(size: int = 256, seed: int = DEFAULT_SEED) -> StereoScene:
     on the whole grid and picking per pixel, as long as numpy's ``cos``
     returns the same bits for an element wherever it sits in an array.
     """
+    if not (isinstance(size, numbers.Integral) and isinstance(seed, numbers.Integral)):
+        raise ValueError(f"scene size and seed must be integers, got {size!r} and {seed!r}")
     if not 64 <= size <= MAX_SIZE:
         raise ValueError(f"scene size must be in [64, {MAX_SIZE}]")
     if seed < 0:

@@ -80,6 +80,25 @@ class TestScene:
         with pytest.raises(ValueError, match="seed"):
             synth_scene(size=64, seed=-1)
 
+    @pytest.mark.parametrize("size, seed", [(100.5, 1), (np.float64(128.0), 1), ("128", 1),
+                                            (128, 2.0), (128, np.float64(3.0))])
+    def test_non_integral_size_or_seed_rejected_before_any_texture(self, monkeypatch,
+                                                                   size, seed):
+        # the NoiseSpec/PatchGrid rule; these used to fail with a TypeError,
+        # a float size after the background had been evaluated
+        def no_texture(*args, **kwargs):
+            raise AssertionError("a texture was made")
+
+        monkeypatch.setattr(scene, "_plane_wave_texture", no_texture)
+        with pytest.raises(ValueError, match="must be integers"):
+            synth_scene(size, seed)
+
+    def test_numpy_integer_size_and_seed_accepted(self):
+        got, ref = synth_scene(np.int64(64), np.uint32(7)), synth_scene(64, 7)
+        assert got.left.samples.tobytes() == ref.left.samples.tobytes()
+        assert got.right.samples.tobytes() == ref.right.samples.tobytes()
+        assert got.meta == ref.meta
+
     def test_deterministic_per_seed(self):
         a = synth_scene(size=128, seed=4)
         b = synth_scene(size=128, seed=4)
