@@ -18,9 +18,10 @@ from graphdenoise.dibr import DepthMap, load_depth
 from graphdenoise.filters import FILTERS, FilterDef
 from graphdenoise.image import (ImageGray, load_image, load_mask, quantize_u8, read_pgm,
                                write_pbm, write_pgm)
-from graphdenoise.scene import (BACKGROUND_DISPARITY_PX, DEPTH_SCALE, DEFAULT_SEED,
-                                FOREGROUND_DISPARITY_PX, MAX_SIZE, StereoScene,
-                                _plane_wave_texture, foreground_rect)
+from graphdenoise.scene import (_N_WAVES, _TEXTURE_SPAN, BACKGROUND_DISPARITY_PX,
+                                DEPTH_SCALE, DEFAULT_SEED, FOREGROUND_DISPARITY_PX,
+                                MAX_SIZE, StereoScene, _plane_wave_texture,
+                                foreground_rect)
 
 
 def _synth_scene_where(size: int = 256, seed: int = DEFAULT_SEED) -> StereoScene:
@@ -65,6 +66,37 @@ def _synth_scene_where(size: int = 256, seed: int = DEFAULT_SEED) -> StereoScene
     )
 
 
+def _plane_wave_texture_per_sample(rng: np.random.Generator, base: float):
+    """The previous ``_plane_wave_texture``, kept verbatim: each wave's cosine
+    of its summed argument, taken at every sample."""
+    amps = rng.uniform(0.5, 1.0, _N_WAVES)
+    amps *= _TEXTURE_SPAN / amps.sum()
+    periods = rng.uniform(14.0, 60.0, _N_WAVES)
+    angles = rng.uniform(0.0, 2.0 * np.pi, _N_WAVES)
+    phases = rng.uniform(0.0, 2.0 * np.pi, _N_WAVES)
+    fu = np.cos(angles) / periods
+    fv = np.sin(angles) / periods
+
+    def f(u, v):
+        out = np.full(np.broadcast(u, v).shape, base, dtype=np.float64)
+        for a, cu, cv, p in zip(amps, fu, fv, phases):
+            out = out + a * np.cos(2.0 * np.pi * (cu * u + cv * v) + p)
+        return out
+
+    return f
+
+
+def _synth_scene_per_sample(size: int, seed: int) -> StereoScene:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scene, "_plane_wave_texture", _plane_wave_texture_per_sample)
+        return synth_scene(size, seed)
+
+
+# The separable texture moved samples by at most 2.1e-12 on 50 scenes of
+# sizes up to 1024 (2.6e-12 at 2048); the bound keeps a margin over that.
+SEPARABLE_ATOL = 1e-11
+
+
 class TestScene:
     @given(size=st.integers(64, 300), seed=st.integers(0, 2**32 - 1))
     @example(size=1000, seed=DEFAULT_SEED)
@@ -75,6 +107,37 @@ class TestScene:
         assert got.right.samples.tobytes() == ref.right.samples.tobytes()
         assert got.depth.values.tobytes() == ref.depth.values.tobytes()
         assert got.meta == ref.meta
+
+    @given(size=st.integers(64, 300), seed=st.integers(0, 2**32 - 1))
+    @example(size=1000, seed=DEFAULT_SEED)
+    @example(size=1024, seed=DEFAULT_SEED)
+    def test_separable_texture_matches_per_sample_cosines(self, size, seed):
+        got, ref = synth_scene(size, seed), _synth_scene_per_sample(size, seed)
+        for view in ("left", "right"):
+            diff = np.abs(getattr(got, view).samples - getattr(ref, view).samples)
+            assert diff.max() <= SEPARABLE_ATOL
+        assert got.depth.values.tobytes() == ref.depth.values.tobytes()
+        assert got.meta == ref.meta
+
+    @pytest.mark.parametrize("size, seed", [(64, 2014), (100, 3), (257, 11), (1000, 2014),
+                                            (128, DEFAULT_SEED), (256, DEFAULT_SEED)])
+    def test_separable_texture_moves_no_8bit_sample(self, size, seed):
+        # the fingerprint's four scenes and the CLI's default sizes
+        got, ref = synth_scene(size, seed), _synth_scene_per_sample(size, seed)
+        assert quantize_u8(got.left).tobytes() == quantize_u8(ref.left).tobytes()
+        assert quantize_u8(got.right).tobytes() == quantize_u8(ref.right).tobytes()
+
+    def test_texture_broadcasts_real_coordinates(self):
+        # fractional and negative coordinates, broadcast shapes and scalars
+        coords = np.random.default_rng(3).uniform(-50.0, 300.0, 7)
+        cases = [(coords, coords[::-1]), (coords[None, :], coords[:5, None]),
+                 (coords.reshape(7, 1, 1), coords[:3]), (coords[2], coords[:4]),
+                 (2.5, -1.25)]
+        for u, v in cases:
+            got = _plane_wave_texture(np.random.default_rng(9), 150.0)(u, v)
+            ref = _plane_wave_texture_per_sample(np.random.default_rng(9), 150.0)(u, v)
+            assert np.shape(got) == np.shape(ref) == np.broadcast(u, v).shape
+            assert np.max(np.abs(got - ref)) <= SEPARABLE_ATOL
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
