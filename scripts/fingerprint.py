@@ -19,6 +19,9 @@ One ``name sha256`` line per output, in a fixed order:
   benchmark's generated ramp inputs for seeds 101 and 102 (float sources,
   all four quarter-pel phases) and on the bundled 256x256 scene in both
   directions, each scene guide followed by its ``.u8`` line;
+* ``fill``: ``median_fill`` on seeded images whose few distinct values
+  make ties of 0.0 and -0.0 common, with and without NaN samples, at
+  three hole densities, including 1-pixel-wide and 1-pixel-tall images;
 * ``cli``: every file the CLI writes for the bundled 128x128 scene
   (``synth``, ``warp``, ``denoise --patch 32 --check-oracle`` and
   ``--patch 64`` for every filter, ``spectral-response`` for every filter)
@@ -61,6 +64,8 @@ SEEDS = (101, 102)
 RAGGED = ((100, 150, 64), (33, 97, 16), (65, 9, 8), (130, 75, 48))
 # (size, seed) of the bundled scenes: odd, ragged and large sizes
 SCENES = ((64, 2014), (100, 3), (257, 11), (1000, 2014))
+# (width, height) of the median-fill images
+FILLS = ((37, 23), (1, 19), (19, 1))
 
 
 def emit(name: str, data: bytes) -> None:
@@ -163,6 +168,24 @@ def section_warp() -> None:
         emit(f"warp/{tag}/phase_counts", r.phase_counts.tobytes())
 
 
+def section_fill() -> None:
+    import numpy as np
+
+    from graphdenoise import HoleMask, ImageGray, median_fill
+
+    for width, height in FILLS:
+        rng = np.random.default_rng(width * 1000 + height)
+        for values, extra in (("signed0", ()), ("nan", (np.nan,))):
+            a = rng.choice([-0.0, 0.0, 1.5, 7.0, 255.0, *extra], (height, width))
+            bump = rng.random(a.shape) < 0.5   # adding 0.0 would turn -0.0 into 0.0
+            a[bump] += rng.uniform(0.0, 255.0, np.count_nonzero(bump))
+            img = ImageGray.from_array(a)
+            for density in (0.1, 0.5, 0.9):
+                mask = HoleMask.from_array(rng.random(a.shape) < density)
+                emit(f"fill/{width}x{height}/{values}/d{density:g}",
+                     median_fill(img, mask).samples.tobytes())
+
+
 def emit_tree(prefix: str, root: str) -> None:
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
@@ -220,6 +243,7 @@ def main() -> int:
     section_ragged()
     section_scene()
     section_warp()
+    section_fill()
     section_cli(root)
     return 0
 

@@ -23,6 +23,11 @@ with D > 1, up to ceil of their largest D, is therefore exact.
 
 Hole pixels are excluded from graph construction entirely; after filtering
 they are patched by a 3x3 median over their available non-hole neighbors.
+The fill is split in two: a plan that depends on the mask alone
+(``fill_plan``: which holes have an available neighbor, which of their
+neighbors are not available, and the rank of the pick), which a caller
+filling several images on one mask makes once, and the value step of
+``median_fill`` (gather, mark, stable row sort, pick).
 """
 from __future__ import annotations
 
@@ -177,34 +182,83 @@ def warp_guide(source: ImageGray, depth: DepthMap, params: WarpParams) -> WarpRe
     )
 
 
-def median_fill(img: ImageGray, mask: HoleMask) -> ImageGray:
+# the 8 neighbours of a pixel, in the order their ties are broken
+_STEPS = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx)
+
+
+@dataclass(frozen=True, eq=False)
+class FillPlan:
+    """The part of ``median_fill`` that depends on the mask alone.
+
+    For each hole with at least one available neighbor, in flat-index
+    order: its flat index (``holes``), which of its 8 neighbors are out of
+    bounds or holes (``gone``, one row per hole, in ``_STEPS`` order) and
+    the lower-middle rank among the others (``rank``), 24 B per such hole.
+    The neighbors' flat indices are not kept; ``median_fill`` forms them
+    on each call."""
+
+    width: int
+    height: int
+    holes: np.ndarray
+    gone: np.ndarray
+    rank: np.ndarray
+
+
+def fill_plan(mask: HoleMask) -> FillPlan:
+    """The fill plan of a hole mask (see ``FillPlan``)."""
+    w = mask.width
+    holes = np.flatnonzero(mask.flags)
+    # the neighbors in the mask padded by one pixel of True: True outside
+    # the image and on a hole
+    padded = np.pad(mask.to_array(), 1, constant_values=True).ravel()
+    centres = holes + 2 * (holes // w) + (w + 3)
+    gone = padded[centres[:, None] + [dy * (w + 2) + dx for dy, dx in _STEPS]]
+    count = len(_STEPS) - np.count_nonzero(gone, axis=1)
+    some = count > 0
+    return FillPlan(mask.width, mask.height, _frozen(holes[some]), _frozen(gone[some]),
+                    _frozen((count[some] - 1) // 2))
+
+
+def median_fill(img: ImageGray, mask: HoleMask, plan: FillPlan | None = None,
+                out: np.ndarray | None = None) -> ImageGray:
     """Replace each hole pixel by the median of its available neighbors.
 
     "Available" means in-bounds, non-hole pixels of the 3x3 neighborhood
-    (center excluded).  Medians are taken from the input image, so the
-    pass is order-free and idempotent; even-sized neighbor sets use the
-    lower-middle order statistic; a hole with no available neighbor keeps
-    its input value.  Non-hole pixels are untouched.  All holes are done
-    at once: their 8 neighbors are gathered by flat index, with NaN
-    marking unavailable ones (so NaN samples count as unavailable), and
-    each row is sorted stably, which puts the NaNs last.
+    (center excluded) whose sample is not NaN.  Medians are taken from the
+    input image, so the pass is order-free and idempotent; even-sized
+    neighbor sets use the lower-middle order statistic, equal values
+    (0.0 and -0.0) in neighbor order; a hole with no available neighbor
+    keeps its input value.  Non-hole pixels are untouched.
+
+    ``plan`` is ``fill_plan(mask)``, made here when not given, so that
+    several images on one mask can share it.  All its holes are done at
+    once: their 8 neighbors are gathered by flat index, with NaN marking
+    the unavailable ones, and each row is sorted stably, which puts the
+    NaNs last and leaves the pick at the plan's rank, unless a gathered
+    sample was NaN, when the ranks are counted again.
+
+    The result is written into ``out`` when it is given: img's own samples
+    buffer, writable and flat (every hole is gathered before any is
+    written); else into a copy of img's samples.
     """
     check_same_shape(img, mask, "image/mask")
+    if plan is None:
+        plan = fill_plan(mask)
+    check_same_shape(img, plan, "image/fill plan")
     w = img.width
-    holes = np.flatnonzero(mask.flags)
-    steps = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
-    # the neighbors' flat indices, clipped into the image; those outside it
-    # or on a hole are True in the mask padded by one pixel of True
-    nbrs = img.samples.take(holes[:, None] + [dy * w + dx for dy, dx in steps],
+    nbrs = img.samples.take(plan.holes[:, None] + [dy * w + dx for dy, dx in _STEPS],
                             mode="clip")
-    gone = np.pad(mask.to_array(), 1, constant_values=True).ravel()
-    centres = holes + 2 * (holes // w) + (w + 3)
-    nbrs[gone[centres[:, None] + [dy * (w + 2) + dx for dy, dx in steps]]] = np.nan
+    sampled_nan = np.isnan(nbrs).any()
+    np.putmask(nbrs, plan.gone, np.nan)
     nbrs.sort(axis=1, kind="stable")
-    count = np.count_nonzero(~np.isnan(nbrs), axis=1)
-    some = count > 0
-    out = img.samples.copy()
-    out[holes[some]] = nbrs[some, (count[some] - 1) // 2]
+    holes, rank = plan.holes, plan.rank
+    if sampled_nan:
+        count = np.count_nonzero(~np.isnan(nbrs), axis=1)
+        some = count > 0
+        holes, nbrs, rank = holes[some], nbrs[some], (count[some] - 1) // 2
+    if out is None:
+        out = img.samples.copy()
+    out[holes] = nbrs[np.arange(holes.size), rank]
     return ImageGray(img.width, img.height, out)
 
 

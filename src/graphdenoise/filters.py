@@ -272,7 +272,7 @@ def cg_filter(L: NormalizedLaplacian, b: np.ndarray, k: int, variant: str = "cg"
     def ratio(num, den):   # per row: its segment's num / den if live, else 0
         return np.divide(num, den, out=np.zeros_like(num), where=live)[:, None]
 
-    for _ in range(k):
+    for step in range(k):
         if not live.any():
             break
         ap = L.rows(L.apply(p.reshape(-1)))
@@ -284,11 +284,13 @@ def cg_filter(L: NormalizedLaplacian, b: np.ndarray, k: int, variant: str = "cg"
         # the mask keeps a stopped segment unwritten; unmasked adds are faster
         np.add(x, np.multiply(alpha, p, out=tmp), out=x,
                where=True if live.all() else live[:, None])
+        iterations += live
+        if step == k - 1:   # the r and p updates below would never be read
+            break
         np.subtract(r, np.multiply(alpha, ap, out=tmp), out=r)
         rr_new = L.dot(r, r)
         np.add(r, np.multiply(ratio(rr_new, rr), p, out=p), out=p)
         rr = rr_new
-        iterations += live
     x = x.reshape(-1)
     info = CGInfo(iterations=iterations, breakdown=breakdown)
     return (x, info) if return_info else x

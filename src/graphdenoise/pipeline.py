@@ -16,12 +16,15 @@ order.
 
 Comparing filters runs ``denoise`` several times on one problem: the same
 noisy image, guide, mask, weights and patch size.  ``denoise`` keeps the
-last problem it assembled, its block operator and tile-major noisy vector,
-in a one-slot memo, so such a sweep assembles once.  The memo holds the
-three images by weak reference and is dropped when one of them dies.
-Before a reuse it checks that their samples are still the ones it was
-built from, since an image made by ``from_array`` is a view of its
-caller's array, which may change.
+last problem it assembled, its block operator, tile-major noisy vector and
+the mask's median-fill plan (``dibr.fill_plan``), in a one-slot memo, so
+such a sweep assembles and plans the fill once.  The memo holds the three
+images by weak reference and is dropped when one of them dies.  Before a
+reuse it checks, tile block by tile block for the noisy vector, that their
+samples are still the ones it was built from, since an image made by
+``from_array`` is a view of its caller's array, which may change.  The
+fill then runs on its own, in the buffer ``denoise`` reorders the filter
+output into, with no further copy of the image.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dibr import median_fill
+from .dibr import FillPlan, fill_plan, median_fill
 from .errors import NumericError
 from .filters import FilterKind, FilterSpec, apply_filter
 from .graph import (NormalizedLaplacian, WeightParams, bilateral_weights,
@@ -138,9 +141,7 @@ class PatchGrid:
 
         Each node is written once, through the (ty, ch, tx, cw) view of
         the tile-major buffer: the padding below and right of the image,
-        then the image in up to four blocks (whole tiles, the clipped last
-        tile column, the clipped last tile row and their corner), each a
-        reshape of a slice of ``a`` with no copy of its own."""
+        then the image, block by block (``_blocks``)."""
         ty, tx, ch, cw = self._tiles()
         a = np.asarray(a)
         fy, rh = divmod(self.height, ch)
@@ -149,20 +150,33 @@ class PatchGrid:
         v = out.reshape(ty, tx, ch, cw).swapaxes(1, 2)
         v[fy:, rh:] = fill
         v[:, :, fx:, rw:] = fill
-        for tys, ys, h in ((np.s_[:fy], np.s_[: fy * ch], ch),
-                           (np.s_[fy:], np.s_[fy * ch :], rh)):
-            for txs, xs, w in ((np.s_[:fx], np.s_[: fx * cw], cw),
-                               (np.s_[fx:], np.s_[fx * cw :], rw)):
-                block = v[tys, :h, txs, :w]
-                block[...] = a[ys, xs].reshape(block.shape)
+        for nodes, pixels in self._blocks(out, a):
+            nodes[...] = pixels
         return out
 
     def from_nodes(self, x: np.ndarray) -> np.ndarray:
         """Inverse of ``to_nodes``: the (height, width) image, padding
-        dropped."""
+        dropped, in a new buffer, written block by block."""
+        a = np.empty((self.height, self.width), dtype=x.dtype)
+        for nodes, pixels in self._blocks(x, a):
+            pixels[...] = nodes
+        return a
+
+    def _blocks(self, x: np.ndarray, a: np.ndarray):
+        """The image in up to four blocks (whole tiles, the clipped last
+        tile column, the clipped last tile row and their corner): pairs of
+        views of the same shape, one of the tile-major node vector x, one
+        of the (height, width) array a, neither a copy."""
         ty, tx, ch, cw = self._tiles()
-        a = x.reshape(ty, tx, ch, cw).swapaxes(1, 2).reshape(ty * ch, tx * cw)
-        return a[: self.height, : self.width]
+        fy, rh = divmod(self.height, ch)
+        fx, rw = divmod(self.width, cw)
+        v = x.reshape(ty, tx, ch, cw).swapaxes(1, 2)
+        for tys, ys, h in ((np.s_[:fy], np.s_[: fy * ch], ch),
+                           (np.s_[fy:], np.s_[fy * ch :], rh)):
+            for txs, xs, w in ((np.s_[:fx], np.s_[: fx * cw], cw),
+                               (np.s_[fx:], np.s_[fx * cw :], rw)):
+                nodes = v[tys, :h, txs, :w]
+                yield nodes, a[ys, xs].reshape(nodes.shape)
 
     def segments(self) -> tuple:
         """Per tile, its pixels' nodes within the tile's cell, in the
@@ -255,9 +269,9 @@ def block_operator(guide: ImageGray, mask: HoleMask, grid: PatchGrid,
 class DenoiseReport:
     """Run metrics.  PSNR fields are filled by callers that hold the clean
     reference.  filter_seconds is the wall clock of the filter, plus graph
-    assembly on the call that assembled the operator (not on a call that
-    reuses it for the same problem); it is deliberately excluded from the
-    deterministic CSV serialization."""
+    assembly and the fill plan on the call that made them (not on a call
+    that reuses them for the same problem); it is deliberately excluded
+    from the deterministic CSV serialization."""
 
     hole_pixels: int
     n_patches: int
@@ -323,8 +337,9 @@ def reference_comparison(results_db: dict) -> str:
 
 @dataclass(frozen=True, eq=False)
 class _Problem:
-    """One assembled denoise problem: the block operator L and the noisy
-    image in tile-major node order b, with what identifies the problem.
+    """One assembled denoise problem: the block operator L, the noisy
+    image in tile-major node order b and the mask's fill plan, with what
+    identifies the problem.
 
     ``refs`` are weak references to the noisy image, guide and mask, whose
     callbacks drop the memo when one of them dies; ``guide`` and ``holes``
@@ -338,14 +353,17 @@ class _Problem:
     holes: np.ndarray
     L: NormalizedLaplacian
     b: np.ndarray
+    plan: FillPlan
 
     def serves(self, noisy: ImageGray, guide: ImageGray, mask: HoleMask,
                grid: PatchGrid, weights: WeightParams, patch_size: int) -> bool:
         """Whether these inputs pose this problem: the same three objects
-        and parameters, with the same sample bits (b holds noisy's)."""
+        and parameters, with the same sample bits (b holds noisy's, which
+        are compared block by block, with no copy of b)."""
         return (all(r() is x for r, x in zip(self.refs, (noisy, guide, mask)))
                 and self.weights == weights and self.patch_size == patch_size
-                and _same_bits(grid.from_nodes(self.b), noisy.to_array())
+                and all(_same_bits(nodes, pixels)
+                        for nodes, pixels in grid._blocks(self.b, noisy.to_array()))
                 and _same_bits(self.guide, guide.samples)
                 and np.array_equal(self.holes, mask.flags))
 
@@ -366,22 +384,22 @@ def _forget(ref: weakref.ref) -> None:
 
 
 def _assemble(noisy: ImageGray, guide: ImageGray, mask: HoleMask, grid: PatchGrid,
-              weights: WeightParams, patch_size: int):
-    """(L, b) of this problem: the memo's if it serves these inputs, else
-    assembled and memoized in its place."""
+              weights: WeightParams, patch_size: int) -> _Problem:
+    """This problem: the memo if it serves these inputs, else assembled and
+    memoized in its place."""
     global _memo
-    # threads may race on the slot: each call uses the (L, b) it checked or
+    # threads may race on the slot: each call uses the problem it checked or
     # built, so a lost update costs a rebuild, never a wrong operator
     m = _memo
     if m is not None and m.serves(noisy, guide, mask, grid, weights, patch_size):
-        return m.L, m.b
+        return m
     # drop the old problem first, so that the call's peak does not hold two
     _memo = m = None
-    L = block_operator(guide, mask, grid, weights)
-    b = _frozen(grid.to_nodes(noisy.to_array(), 0.0))
-    _memo = _Problem(tuple(weakref.ref(x, _forget) for x in (noisy, guide, mask)),
-                     weights, patch_size, guide.samples.copy(), mask.flags.copy(), L, b)
-    return L, b
+    _memo = m = _Problem(tuple(weakref.ref(x, _forget) for x in (noisy, guide, mask)),
+                         weights, patch_size, guide.samples.copy(), mask.flags.copy(),
+                         block_operator(guide, mask, grid, weights),
+                         _frozen(grid.to_nodes(noisy.to_array(), 0.0)), fill_plan(mask))
+    return m
 
 
 def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec,
@@ -389,14 +407,16 @@ def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec
             workers: int = 1) -> tuple[ImageGray, DenoiseReport]:
     """Filter each patch on its own guide-derived graph, all patches in one
     pass through the block-diagonal operator, then median-fill the hole
-    pixels of the filtered image.  ``workers`` must be at least 1; it is
-    accepted for compatibility and has no effect.
+    pixels of the filtered image, in the buffer the filter output is
+    reordered into.  ``workers`` must be at least 1; it is accepted for
+    compatibility and has no effect.
 
-    The operator is assembled once per problem: a call with the same noisy,
-    guide and mask objects, unchanged, and equal weights and patch size as
-    the call before reuses that call's operator (see the module docstring).
-    The memo keeps about 65 B/pixel alive after the call, until one of the
-    three images dies or another problem is denoised."""
+    The operator and the mask's fill plan are made once per problem: a call
+    with the same noisy, guide and mask objects, unchanged, and equal
+    weights and patch size as the call before reuses that call's (see the
+    module docstring).  The memo keeps about 65 B/pixel plus 24 B per
+    fillable hole alive after the call, until one of the three images dies
+    or another problem is denoised."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     check_same_shape(noisy, guide, "noisy/guide")
@@ -406,11 +426,11 @@ def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec
     # that filter_seconds times assembly and filtering only
     import scipy.sparse  # noqa: F401
     t0 = time.perf_counter()
-    L, b = _assemble(noisy, guide, mask, grid, weights, patch_size)
-    y = apply_filter(spec, L, b)
-    filtered = ImageGray.from_array(grid.from_nodes(y))
+    m = _assemble(noisy, guide, mask, grid, weights, patch_size)
+    out = grid.from_nodes(apply_filter(spec, m.L, m.b))
     filter_seconds = time.perf_counter() - t0
-    filled = median_fill(filtered, mask)
+    # the image is a frozen view of out, which stays writable for the fill
+    filled = median_fill(ImageGray.from_array(out), mask, m.plan, out=out.reshape(-1))
     report = DenoiseReport(
         hole_pixels=int(mask.flags.sum()),
         n_patches=len(grid.patches),

@@ -11,8 +11,8 @@ from graphdenoise import (DepthMap, DimensionMismatchError, HoleMask,
                           interp_subpel, median_fill, warp_guide)
 from graphdenoise.dibr import (HALF_TAPS, OCCLUSION_DISPARITY_STEP_PX,
                                OCCLUSION_RADIUS_PX, PHASES, QUARTER_TAPS,
-                               THREE_QUARTER_TAPS, WarpResult, load_depth,
-                               save_depth)
+                               THREE_QUARTER_TAPS, WarpResult, fill_plan,
+                               load_depth, save_depth)
 
 
 class TestInterpKernels:
@@ -351,18 +351,43 @@ class TestMedianFill:
         assert np.array_equal(once.samples, twice.samples)
 
 
-    @given(st.integers(1, 20), st.integers(1, 20), st.floats(0.0, 1.0),
+    @given(st.integers(1, 20), st.integers(1, 20), st.floats(0.0, 1.0), st.booleans(),
            st.integers(0, 2**32 - 1))
-    def test_matches_per_hole_loop(self, h, w, density, seed):
+    @example(1, 17, 0.5, False, 1)     # 1 pixel wide
+    @example(17, 1, 0.5, True, 2)      # 1 pixel tall
+    @example(5, 6, 1.0, False, 3)      # every pixel a hole: none has a neighbor
+    @example(1, 1, 1.0, True, 4)
+    def test_matches_per_hole_loop(self, h, w, density, nan, seed):
         r = np.random.default_rng(seed)
         # few distinct values (signed zeros among them) make ties common;
-        # NaN samples count as unavailable, infinities as values
-        a = r.choice([-0.0, 0.0, 1.5, 7.0, 255.0, np.nan, np.inf, -np.inf], (h, w))
+        # NaN samples count as unavailable, infinities as values.  Without
+        # NaN samples the plan's ranks are used as they are, with them they
+        # are counted again.
+        a = r.choice([-0.0, 0.0, 1.5, 7.0, 255.0, np.inf, -np.inf] + [np.nan] * nan, (h, w))
         bump = r.random((h, w)) < 0.5   # adding 0.0 elsewhere would turn -0.0 into 0.0
         a[bump] += r.uniform(0, 255, np.count_nonzero(bump))
         m = r.random((h, w)) < density
-        out = median_fill(ImageGray.from_array(a), HoleMask.from_array(m))
-        assert out.to_array().tobytes() == _median_fill_loop(a, m).tobytes()
+        img, mask = ImageGray.from_array(a), HoleMask.from_array(m)
+        want = _median_fill_loop(a, m).tobytes()
+        assert median_fill(img, mask).to_array().tobytes() == want
+        plan = fill_plan(mask)
+        assert median_fill(img, mask, plan).to_array().tobytes() == want
+        # filled in the image's own buffer
+        buf = a.copy()
+        out = median_fill(ImageGray.from_array(buf), mask, plan, out=buf.reshape(-1))
+        assert buf.tobytes() == out.samples.tobytes() == want
+
+    def test_one_plan_serves_each_image_on_its_mask(self, rng):
+        m = rng.random((9, 11)) < 0.3
+        mask = HoleMask.from_array(m)
+        plan = fill_plan(mask)
+        for _ in range(2):
+            a = rng.uniform(0, 255, (9, 11))
+            out = median_fill(ImageGray.from_array(a), mask, plan)
+            assert out.to_array().tobytes() == _median_fill_loop(a, m).tobytes()
+        with pytest.raises(DimensionMismatchError):
+            median_fill(ImageGray.from_array(a[:, :10]),
+                        HoleMask.from_array(m[:, :10]), plan)
 
 
 def _median_fill_loop(src, hole):

@@ -540,10 +540,18 @@ class TestAssemblyMemo:
             assert got == want
         assert len(built) == len(runs)
 
-    @pytest.mark.parametrize("which", ["noisy", "guide", "mask", "noisy -0.0"])
-    def test_a_changed_caller_array_is_assembled_again(self, monkeypatch, which):
+    # (40, 70) in 16-pixel tiles ends in a ragged tile row (rows 32-39) and
+    # column (columns 64-69), which b holds in blocks of their own
+    @pytest.mark.parametrize("which,at", [
+        *(pytest.param(which, (5, 7), id=which)
+          for which in ("noisy", "guide", "mask", "noisy -0.0")),
+        pytest.param("noisy", (37, 7), id="noisy ragged row"),
+        pytest.param("noisy", (5, 67), id="noisy ragged column"),
+        pytest.param("noisy", (37, 67), id="noisy ragged corner"),
+        pytest.param("noisy -0.0", (37, 67), id="noisy -0.0 ragged corner")])
+    def test_a_changed_caller_array_is_assembled_again(self, monkeypatch, which, at):
         arrays = self._arrays(3)
-        arrays["noisy"][5, 7] = 0.0
+        arrays["noisy"][at] = 0.0
         images = (ImageGray.from_array(arrays["noisy"]),
                   ImageGray.from_array(arrays["guide"]),
                   HoleMask.from_array(arrays["mask"]))
@@ -552,13 +560,38 @@ class TestAssemblyMemo:
         # from_array keeps a view of the caller's array, so the image changes
         a = arrays[which.split()[0]]
         if which == "noisy -0.0":
-            a[5, 7] = -0.0   # equal to 0.0, but not the same bits
+            a[at] = -0.0   # equal to 0.0, but not the same bits
         else:
-            a[5, 7] = ~a[5, 7] if a.dtype == bool else a[5, 7] + 1.0
+            a[at] = ~a[at] if a.dtype == bool else a[at] + 1.0
         built = self._spy(monkeypatch)
         out, _ = denoise(*images, spec, weights, patch_size=16)
         assert len(built) == 1
         assert out.samples.tobytes() == self._fresh(images, spec, weights, 16)
+
+    def test_a_sweep_plans_the_fill_once_per_mask(self, monkeypatch):
+        arrays = self._arrays(7)
+        images = (ImageGray.from_array(arrays["noisy"]),
+                  ImageGray.from_array(arrays["guide"]),
+                  HoleMask.from_array(arrays["mask"]))
+        specs = [FilterSpec(kind) for kind in FilterKind]
+        expected = [self._fresh(images, spec, WeightParams(), 16) for spec in specs]
+        plans = []
+        real = pipeline.fill_plan
+
+        def fill_plan(mask):
+            plans.append(real(mask))
+            return plans[-1]
+
+        monkeypatch.setattr(pipeline, "fill_plan", fill_plan)
+        got = [denoise(*images, spec, WeightParams(), patch_size=16)[0].samples.tobytes()
+               for spec in specs]
+        assert len(specs) == 6 and len(plans) == 1
+        assert got == expected
+        # more holes in the caller's mask array: a new problem, a new plan
+        arrays["mask"][::3, ::2] = True
+        out, _ = denoise(*images, specs[0], WeightParams(), patch_size=16)
+        assert len(plans) == 2 and plans[1].holes.size > plans[0].holes.size
+        assert out.samples.tobytes() == self._fresh(images, specs[0], WeightParams(), 16)
 
     def test_the_memo_lets_its_operator_go(self, monkeypatch):
         built = self._spy(monkeypatch)

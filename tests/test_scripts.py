@@ -46,6 +46,7 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     fingerprint.section_ragged()
     fingerprint.section_scene()
     fingerprint.section_warp()
+    fingerprint.section_fill()
     # every CLI step and the export_responses.py subprocess, for one filter
     monkeypatch.setattr(fingerprint, "KINDS", ("cg0",))
     fingerprint.section_cli(str(root))
@@ -86,6 +87,10 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
           for out in ("guide", "mask", "phase_counts")),
         *(f"warp/scene256/{case}/{out}" for case in ("left_to_right", "right_to_left")
           for out in ("guide", "guide.u8", "mask", "phase_counts"))]
+    # fill: 3 image sizes x (without, with NaN samples) x 3 hole densities
+    assert [n for n in names if n.startswith("fill/")] == [
+        f"fill/{size}/{values}/d{density}" for size in ("37x23", "1x19", "19x1")
+        for values in ("signed0", "nan") for density in ("0.1", "0.5", "0.9")]
     exits = [n for n in names if n.startswith("cli/exit/")]
     assert exits == ["cli/exit/synth", "cli/exit/warp", "cli/exit/denoise/cg0-p32",
                      "cli/exit/denoise/cg0-p64", "cli/exit/spectral/cg0",
