@@ -24,10 +24,10 @@ with D > 1, up to ceil of their largest D, is therefore exact.
 Hole pixels are excluded from graph construction entirely; after filtering
 they are patched by a 3x3 median over their available non-hole neighbors.
 The fill is split in two: a plan that depends on the mask alone
-(``fill_plan``: which holes have an available neighbor, which of their
-neighbors are not available, and the rank of the pick), which a caller
-filling several images on one mask makes once, and the value step of
-``median_fill`` (gather, mark, stable row sort, pick).
+(``fill_plan``: which holes have an available neighbor and which of their
+neighbors are not available), which a caller filling several images on
+one mask makes once, and the value step of ``median_fill`` (gather, mark,
+stable row sort, count, pick).
 """
 from __future__ import annotations
 
@@ -191,17 +191,15 @@ class FillPlan:
     """The part of ``median_fill`` that depends on the mask alone.
 
     For each hole with at least one available neighbor, in flat-index
-    order: its flat index (``holes``), which of its 8 neighbors are out of
-    bounds or holes (``gone``, one row per hole, in ``_STEPS`` order) and
-    the lower-middle rank among the others (``rank``), 24 B per such hole.
-    The neighbors' flat indices are not kept; ``median_fill`` forms them
-    on each call."""
+    order: its flat index (``holes``) and which of its 8 neighbors are out
+    of bounds or holes (``gone``, one row per hole, in ``_STEPS`` order),
+    16 B per such hole.  The neighbors' flat indices are not kept;
+    ``median_fill`` forms them on each call."""
 
     width: int
     height: int
     holes: np.ndarray
     gone: np.ndarray
-    rank: np.ndarray
 
 
 def fill_plan(mask: HoleMask) -> FillPlan:
@@ -213,14 +211,11 @@ def fill_plan(mask: HoleMask) -> FillPlan:
     padded = np.pad(mask.to_array(), 1, constant_values=True).ravel()
     centres = holes + 2 * (holes // w) + (w + 3)
     gone = padded[centres[:, None] + [dy * (w + 2) + dx for dy, dx in _STEPS]]
-    count = len(_STEPS) - np.count_nonzero(gone, axis=1)
-    some = count > 0
-    return FillPlan(mask.width, mask.height, _frozen(holes[some]), _frozen(gone[some]),
-                    _frozen((count[some] - 1) // 2))
+    some = ~gone.all(axis=1)
+    return FillPlan(mask.width, mask.height, _frozen(holes[some]), _frozen(gone[some]))
 
 
-def median_fill(img: ImageGray, mask: HoleMask, plan: FillPlan | None = None,
-                out: np.ndarray | None = None) -> ImageGray:
+def median_fill(img: ImageGray, mask: HoleMask, plan: FillPlan | None = None) -> ImageGray:
     """Replace each hole pixel by the median of its available neighbors.
 
     "Available" means in-bounds, non-hole pixels of the 3x3 neighborhood
@@ -230,16 +225,12 @@ def median_fill(img: ImageGray, mask: HoleMask, plan: FillPlan | None = None,
     (0.0 and -0.0) in neighbor order; a hole with no available neighbor
     keeps its input value.  Non-hole pixels are untouched.
 
-    ``plan`` is ``fill_plan(mask)``, made here when not given, so that
-    several images on one mask can share it.  All its holes are done at
+    ``plan`` must be ``fill_plan`` of this same mask (only its size is
+    checked); it is made here when not given, and a caller filling several
+    images on one mask makes it once.  All its holes are done at
     once: their 8 neighbors are gathered by flat index, with NaN marking
     the unavailable ones, and each row is sorted stably, which puts the
-    NaNs last and leaves the pick at the plan's rank, unless a gathered
-    sample was NaN, when the ranks are counted again.
-
-    The result is written into ``out`` when it is given: img's own samples
-    buffer, writable and flat (every hole is gathered before any is
-    written); else into a copy of img's samples.
+    NaNs last; the pick's rank comes from the count of the rest.
     """
     check_same_shape(img, mask, "image/mask")
     if plan is None:
@@ -248,17 +239,12 @@ def median_fill(img: ImageGray, mask: HoleMask, plan: FillPlan | None = None,
     w = img.width
     nbrs = img.samples.take(plan.holes[:, None] + [dy * w + dx for dy, dx in _STEPS],
                             mode="clip")
-    sampled_nan = np.isnan(nbrs).any()
     np.putmask(nbrs, plan.gone, np.nan)
     nbrs.sort(axis=1, kind="stable")
-    holes, rank = plan.holes, plan.rank
-    if sampled_nan:
-        count = np.count_nonzero(~np.isnan(nbrs), axis=1)
-        some = count > 0
-        holes, nbrs, rank = holes[some], nbrs[some], (count[some] - 1) // 2
-    if out is None:
-        out = img.samples.copy()
-    out[holes] = nbrs[np.arange(holes.size), rank]
+    count = np.count_nonzero(~np.isnan(nbrs), axis=1)
+    some = count > 0
+    out = img.samples.copy()
+    out[plan.holes[some]] = nbrs[some, (count[some] - 1) // 2]
     return ImageGray(img.width, img.height, out)
 
 

@@ -22,9 +22,7 @@ such a sweep assembles and plans the fill once.  The memo holds the three
 images by weak reference and is dropped when one of them dies.  Before a
 reuse it checks, tile block by tile block for the noisy vector, that their
 samples are still the ones it was built from, since an image made by
-``from_array`` is a view of its caller's array, which may change.  The
-fill then runs on its own, in the buffer ``denoise`` reorders the filter
-output into, with no further copy of the image.
+``from_array`` is a view of its caller's array, which may change.
 """
 from __future__ import annotations
 
@@ -407,14 +405,13 @@ def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec
             workers: int = 1) -> tuple[ImageGray, DenoiseReport]:
     """Filter each patch on its own guide-derived graph, all patches in one
     pass through the block-diagonal operator, then median-fill the hole
-    pixels of the filtered image, in the buffer the filter output is
-    reordered into.  ``workers`` must be at least 1; it is accepted for
-    compatibility and has no effect.
+    pixels of the filtered image.  ``workers`` must be at least 1; it is
+    accepted for compatibility and has no effect.
 
     The operator and the mask's fill plan are made once per problem: a call
     with the same noisy, guide and mask objects, unchanged, and equal
     weights and patch size as the call before reuses that call's (see the
-    module docstring).  The memo keeps about 65 B/pixel plus 24 B per
+    module docstring).  The memo keeps about 65 B/pixel plus 16 B per
     fillable hole alive after the call, until one of the three images dies
     or another problem is denoised."""
     if workers < 1:
@@ -427,10 +424,9 @@ def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec
     import scipy.sparse  # noqa: F401
     t0 = time.perf_counter()
     m = _assemble(noisy, guide, mask, grid, weights, patch_size)
-    out = grid.from_nodes(apply_filter(spec, m.L, m.b))
+    filtered = ImageGray.from_array(grid.from_nodes(apply_filter(spec, m.L, m.b)))
     filter_seconds = time.perf_counter() - t0
-    # the image is a frozen view of out, which stays writable for the fill
-    filled = median_fill(ImageGray.from_array(out), mask, m.plan, out=out.reshape(-1))
+    filled = median_fill(filtered, mask, m.plan)
     report = DenoiseReport(
         hole_pixels=int(mask.flags.sum()),
         n_patches=len(grid.patches),

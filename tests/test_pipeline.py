@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from graphdenoise import (DimensionMismatchError, FilterKind, FilterSpec,
                           HoleMask, ImageGray, NoiseSpec, WeightParams,
                           add_gaussian_noise, apply_filter, build_graph,
-                          denoise, median_fill, normalized_laplacian, pipeline,
-                          psnr, split_patches)
+                          denoise, dibr, median_fill, normalized_laplacian,
+                          pipeline, psnr, split_patches)
 from graphdenoise.graph import NormalizedLaplacian
 from graphdenoise.image import _frozen, check_same_shape
 from graphdenoise.pipeline import (PatchGrid, block_operator, extract_patch,
@@ -582,7 +582,9 @@ class TestAssemblyMemo:
             plans.append(real(mask))
             return plans[-1]
 
+        # median_fill plans for itself when it is not handed the memo's plan
         monkeypatch.setattr(pipeline, "fill_plan", fill_plan)
+        monkeypatch.setattr(dibr, "fill_plan", fill_plan)
         got = [denoise(*images, spec, WeightParams(), patch_size=16)[0].samples.tobytes()
                for spec in specs]
         assert len(specs) == 6 and len(plans) == 1
