@@ -6,6 +6,7 @@ then clamp to [0, 255].  Masks use PBM bit 1 for "hole".
 """
 from __future__ import annotations
 
+import numbers
 import os
 import re
 import tempfile
@@ -25,8 +26,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Raster:
-    """A width x height grid with one value per pixel, stored row-major and
-    frozen in the subclass's array field, named by ``_field``, as ``_dtype``."""
+    """A width x height grid with one value per pixel, stored row-major in
+    the subclass's array field, named by ``_field``, as ``_dtype``.
+
+    The raster owns its samples: the field holds a read-only copy of what
+    it was given, so a later write to the caller's array cannot reach it,
+    and the caller's array stays writable."""
 
     width: int
     height: int
@@ -34,9 +39,15 @@ class _Raster:
     _dtype: ClassVar[type]
 
     def __post_init__(self):
+        name = type(self).__name__
+        for dim in ("width", "height"):
+            v = getattr(self, dim)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise DimensionMismatchError(f"{name} {dim} must be an integer, got {v!r}")
+            object.__setattr__(self, dim, int(v))
         if self.width < 1 or self.height < 1:
-            raise DimensionMismatchError(f"{type(self).__name__} dimensions must be >= 1")
-        a = np.asarray(getattr(self, self._field), dtype=self._dtype)
+            raise DimensionMismatchError(f"{name} dimensions must be >= 1")
+        a = np.array(getattr(self, self._field), dtype=self._dtype)
         if a.shape != (self.width * self.height,):
             raise DimensionMismatchError(
                 f"expected {self.width * self.height} {self._field}, got {a.shape}")
@@ -44,10 +55,10 @@ class _Raster:
 
     @classmethod
     def from_array(cls, a):
-        a = np.asarray(a, dtype=cls._dtype)
+        a = np.asarray(a)
         if a.ndim != 2:
             raise DimensionMismatchError("expected a 2-D array")
-        return cls(a.shape[1], a.shape[0], a.ravel())
+        return cls(a.shape[1], a.shape[0], a.reshape(-1))
 
     def to_array(self) -> np.ndarray:
         return getattr(self, self._field).reshape(self.height, self.width)

@@ -19,10 +19,9 @@ noisy image, guide, mask, weights and patch size.  ``denoise`` keeps the
 last problem it assembled, its block operator, tile-major noisy vector and
 the mask's median-fill plan (``dibr.fill_plan``), in a one-slot memo, so
 such a sweep assembles and plans the fill once.  The memo holds the three
-images by weak reference and is dropped when one of them dies.  Before a
-reuse it checks, tile block by tile block for the noisy vector, that their
-samples are still the ones it was built from, since an image made by
-``from_array`` is a view of its caller's array, which may change.
+images by weak reference and is dropped when one of them dies.  It is keyed
+on their identity alone: an image owns a read-only copy of its samples, so
+the same object always carries the same samples.
 """
 from __future__ import annotations
 
@@ -340,35 +339,21 @@ class _Problem:
     identifies the problem.
 
     ``refs`` are weak references to the noisy image, guide and mask, whose
-    callbacks drop the memo when one of them dies; ``guide`` and ``holes``
-    are private copies of the guide's and mask's samples as L was built
-    from them (9 B/pixel)."""
+    callbacks drop the memo when one of them dies."""
 
     refs: tuple
     weights: WeightParams
     patch_size: int
-    guide: np.ndarray
-    holes: np.ndarray
     L: NormalizedLaplacian
     b: np.ndarray
     plan: FillPlan
 
     def serves(self, noisy: ImageGray, guide: ImageGray, mask: HoleMask,
-               grid: PatchGrid, weights: WeightParams, patch_size: int) -> bool:
+               weights: WeightParams, patch_size: int) -> bool:
         """Whether these inputs pose this problem: the same three objects
-        and parameters, with the same sample bits (b holds noisy's, which
-        are compared block by block, with no copy of b)."""
+        (whose samples cannot change) and equal parameters."""
         return (all(r() is x for r, x in zip(self.refs, (noisy, guide, mask)))
-                and self.weights == weights and self.patch_size == patch_size
-                and all(_same_bits(nodes, pixels)
-                        for nodes, pixels in grid._blocks(self.b, noisy.to_array()))
-                and _same_bits(self.guide, guide.samples)
-                and np.array_equal(self.holes, mask.flags))
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Float64 arrays equal bit for bit (so -0.0 differs from 0.0)."""
-    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                and self.weights == weights and self.patch_size == patch_size)
 
 
 _memo: _Problem | None = None
@@ -389,13 +374,12 @@ def _assemble(noisy: ImageGray, guide: ImageGray, mask: HoleMask, grid: PatchGri
     # threads may race on the slot: each call uses the problem it checked or
     # built, so a lost update costs a rebuild, never a wrong operator
     m = _memo
-    if m is not None and m.serves(noisy, guide, mask, grid, weights, patch_size):
+    if m is not None and m.serves(noisy, guide, mask, weights, patch_size):
         return m
     # drop the old problem first, so that the call's peak does not hold two
     _memo = m = None
     _memo = m = _Problem(tuple(weakref.ref(x, _forget) for x in (noisy, guide, mask)),
-                         weights, patch_size, guide.samples.copy(), mask.flags.copy(),
-                         block_operator(guide, mask, grid, weights),
+                         weights, patch_size, block_operator(guide, mask, grid, weights),
                          _frozen(grid.to_nodes(noisy.to_array(), 0.0)), fill_plan(mask))
     return m
 
@@ -409,11 +393,11 @@ def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec
     accepted for compatibility and has no effect.
 
     The operator and the mask's fill plan are made once per problem: a call
-    with the same noisy, guide and mask objects, unchanged, and equal
-    weights and patch size as the call before reuses that call's (see the
-    module docstring).  The memo keeps about 65 B/pixel plus 16 B per
-    fillable hole alive after the call, until one of the three images dies
-    or another problem is denoised."""
+    with the same noisy, guide and mask objects and equal weights and patch
+    size as the call before reuses that call's (see the module docstring).
+    The memo keeps about 56 B/pixel (the operator's DIA data and degrees,
+    and b) plus 16 B per fillable hole alive after the call, until one of
+    the three images dies or another problem is denoised."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     check_same_shape(noisy, guide, "noisy/guide")

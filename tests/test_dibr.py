@@ -193,6 +193,20 @@ class TestWarpGuide:
         disp[1, 20] = 1e6
         _assert_same_warp(res, _warp_guide_loop(src, DepthMap.from_array(disp), params))
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+    def test_a_later_write_to_the_callers_array_cannot_break_the_depth_map(
+            self, rng, bad):
+        # the map checked its own copy; the caller's array may change after
+        src = ImageGray.from_array(rng.uniform(0, 255, (4, 32)))
+        disp = rng.uniform(0.0, 6.0, (4, 32))
+        depth = DepthMap.from_array(disp)
+        want = warp_guide(src, depth, WarpParams())
+        disp[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = warp_guide(src, depth, WarpParams())
+        _assert_same_warp(got, want)
+
     @pytest.mark.parametrize("direction", ["left_to_right", "right_to_left"])
     def test_bundled_scene_with_absent_phases_matches_per_row_loop(self, direction):
         from graphdenoise import synth_scene

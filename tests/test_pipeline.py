@@ -487,8 +487,8 @@ print(noisy.samples.min(), noisy.samples.max(), out.samples.min(), out.samples.m
 
 
 class TestAssemblyMemo:
-    """denoise assembles a problem once and reuses its operator only for
-    the same, unchanged inputs."""
+    """denoise assembles a problem once and reuses its operator for the
+    same input objects, whose samples cannot change."""
 
     @staticmethod
     def _spy(monkeypatch) -> list:
@@ -512,11 +512,14 @@ class TestAssemblyMemo:
                 "guide": clean + rng.normal(0.0, 2.0, shape),
                 "mask": rng.random(shape) < 0.1}
 
+    @staticmethod
+    def _images(arrays):
+        return (ImageGray.from_array(arrays["noisy"]), ImageGray.from_array(arrays["guide"]),
+                HoleMask.from_array(arrays["mask"]))
+
     @classmethod
     def _problem(cls, seed):
-        a = cls._arrays(seed)
-        return (ImageGray.from_array(a["noisy"]), ImageGray.from_array(a["guide"]),
-                HoleMask.from_array(a["mask"]))
+        return cls._images(cls._arrays(seed))
 
     @staticmethod
     def _fresh(images, spec, weights, patch) -> bytes:
@@ -550,14 +553,16 @@ class TestAssemblyMemo:
         pytest.param("noisy", (37, 67), id="noisy ragged corner"),
         pytest.param("noisy -0.0", (37, 67), id="noisy -0.0 ragged corner")])
     def test_a_changed_caller_array_is_assembled_again(self, monkeypatch, which, at):
+        """A write to a caller's array after from_array cannot reach the
+        images made from it: denoise on them reuses the operator and gives
+        the bytes from before the write.  Only images made again from the
+        changed array are a new problem, assembled again."""
         arrays = self._arrays(3)
         arrays["noisy"][at] = 0.0
-        images = (ImageGray.from_array(arrays["noisy"]),
-                  ImageGray.from_array(arrays["guide"]),
-                  HoleMask.from_array(arrays["mask"]))
+        images = self._images(arrays)
         spec, weights = FilterSpec(FilterKind.K_CHEB), WeightParams()
-        denoise(*images, spec, weights, patch_size=16)
-        # from_array keeps a view of the caller's array, so the image changes
+        want = self._fresh(images, spec, weights, 16)
+        before = denoise(*images, spec, weights, patch_size=16)[0].samples.tobytes()
         a = arrays[which.split()[0]]
         if which == "noisy -0.0":
             a[at] = -0.0   # equal to 0.0, but not the same bits
@@ -565,14 +570,16 @@ class TestAssemblyMemo:
             a[at] = ~a[at] if a.dtype == bool else a[at] + 1.0
         built = self._spy(monkeypatch)
         out, _ = denoise(*images, spec, weights, patch_size=16)
+        assert built == []
+        assert out.samples.tobytes() == before == want
+        remade = self._images(arrays)
+        out, _ = denoise(*remade, spec, weights, patch_size=16)
         assert len(built) == 1
-        assert out.samples.tobytes() == self._fresh(images, spec, weights, 16)
+        assert out.samples.tobytes() == self._fresh(remade, spec, weights, 16)
 
     def test_a_sweep_plans_the_fill_once_per_mask(self, monkeypatch):
         arrays = self._arrays(7)
-        images = (ImageGray.from_array(arrays["noisy"]),
-                  ImageGray.from_array(arrays["guide"]),
-                  HoleMask.from_array(arrays["mask"]))
+        images = self._images(arrays)
         specs = [FilterSpec(kind) for kind in FilterKind]
         expected = [self._fresh(images, spec, WeightParams(), 16) for spec in specs]
         plans = []
@@ -589,8 +596,9 @@ class TestAssemblyMemo:
                for spec in specs]
         assert len(specs) == 6 and len(plans) == 1
         assert got == expected
-        # more holes in the caller's mask array: a new problem, a new plan
+        # a new mask with more holes: a new problem, a new plan
         arrays["mask"][::3, ::2] = True
+        images = (*images[:2], HoleMask.from_array(arrays["mask"]))
         out, _ = denoise(*images, specs[0], WeightParams(), patch_size=16)
         assert len(plans) == 2 and plans[1].holes.size > plans[0].holes.size
         assert out.samples.tobytes() == self._fresh(images, specs[0], WeightParams(), 16)
