@@ -27,7 +27,8 @@ def test_a_raster_owns_a_read_only_copy_of_its_samples(rng, cls, how):
     given, held = _caller_array(cls, how, rng)
     r = cls(10, 6, given) if how == "flat" else cls.from_array(given)
     field = getattr(r, r._field)
-    want = field.copy()
+    want = np.array(given, cls._dtype).reshape(-1)
+    assert np.array_equal(field, want)
     assert not field.flags.writeable
     assert not np.shares_memory(field, held)
     assert held.flags.writeable and given.flags.writeable
