@@ -36,7 +36,10 @@ at once whether a change that moves float64 digits on purpose moved any
 copies of the inputs.  The six filters of the main lines run one after
 another on the same input objects, as a filter sweep does, so they may
 share one assembled operator; each ``.fresh`` line is a problem of its
-own and must hash the same as its main line.
+own and must hash the same as its main line.  Last comes a ``.renoise``
+line: the same filter's float64 output on a second noisy view of the
+clean image (noise seed + 1000), swept right after the main lines on the
+same guide and mask objects, so it may reuse their operator.
 
 Outputs are bit-identical between two checkouts when the lines are:
 
@@ -89,13 +92,18 @@ def section_workloads() -> None:
                 w = cls(seed, os.path.join(tmp, f"{wname}-{seed}"))
                 w.setup()
                 w.frame()
-                inputs = w.filter_inputs()[:3]
+                *inputs, clean = w.filter_inputs()
                 outs = [workloads.denoise(*inputs, kind) for kind in KINDS]
-                for kind, out in zip(KINDS, outs):
+                # a second noisy view on the same guide and mask objects, swept
+                # before the fresh problems below take the memo's place
+                renoised = workloads.noisy_view(clean, seed + 1000)
+                reouts = [workloads.denoise(renoised, *inputs[1:], kind) for kind in KINDS]
+                for kind, out, reout in zip(KINDS, outs, reouts):
                     name = f"workloads/{wname}/seed{seed}/{kind}"
                     emit_image(name, out)
                     fresh = [type(x).from_array(x.to_array().copy()) for x in inputs]
                     emit(f"{name}.fresh", workloads.denoise(*fresh, kind).samples.tobytes())
+                    emit(f"{name}.renoise", reout.samples.tobytes())
 
 
 def section_ragged() -> None:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,7 +38,7 @@ from numpy.polynomial import chebyshev as npcheb
 
 from .errors import DimensionMismatchError, NumericError
 from .graph import NormalizedLaplacian, degree_scale
-from .image import _frozen
+from .image import _frozen, _integer
 from .oracle import (cheb_response, dense_eig, exact_filter, gbjbf_response,
                      krylov_minimize)
 
@@ -80,8 +79,9 @@ class FilterSpec:
     def __post_init__(self):
         if not isinstance(self.kind, FilterKind):
             object.__setattr__(self, "kind", FilterKind(self.kind))
-        if not (isinstance(self.k, numbers.Integral) and 1 <= self.k <= MAX_K):
+        if not (_integer(self.k) and 1 <= self.k <= MAX_K):
             raise ValueError(f"k must be an integer in [1, {MAX_K}]")
+        object.__setattr__(self, "k", int(self.k))
         if not (0.0 < self.l < 2.0):
             raise ValueError("stop-band start l must lie in (0, 2)")
         if not 0 < self.rho < np.inf:

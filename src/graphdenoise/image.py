@@ -24,6 +24,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integer(v) -> bool:
+    """The rule for every integer parameter: numbers.Integral, not bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class _Raster:
     """A width x height grid with one value per pixel, stored row-major in
@@ -42,7 +47,7 @@ class _Raster:
         name = type(self).__name__
         for dim in ("width", "height"):
             v = getattr(self, dim)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+            if not _integer(v):
                 raise DimensionMismatchError(f"{name} {dim} must be an integer, got {v!r}")
             object.__setattr__(self, dim, int(v))
         if self.width < 1 or self.height < 1:

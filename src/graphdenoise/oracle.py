@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericError
 from .graph import NormalizedLaplacian
-from .image import _frozen, atomic_write_bytes
+from .image import _frozen, _integer, atomic_write_bytes
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ def cheb_response(k: int, l: float):
     the product is accurate at every degree; it is ``cheb``'s reference,
     independent of the series coefficients its fast path runs.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not (_integer(k) and k >= 1):
+        raise ValueError("k must be an integer >= 1")
     if not (0.0 < l < 2.0):
         raise ValueError("stop-band start l must lie in (0, 2)")
     i = np.arange(1, k + 1, dtype=np.float64)

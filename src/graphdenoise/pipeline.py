@@ -14,19 +14,18 @@ floating-point order as on each patch's own ``patch_operator`` graph, so
 the result is bit-identical to filtering the patches one by one, in any
 order.
 
-Comparing filters runs ``denoise`` several times on one problem: the same
-noisy image, guide, mask, weights and patch size.  ``denoise`` keeps the
-last problem it assembled, its block operator, tile-major noisy vector and
-the mask's median-fill plan (``dibr.fill_plan``), in a one-slot memo, so
-such a sweep assembles and plans the fill once.  The memo holds the three
-images by weak reference and is dropped when one of them dies.  It is keyed
-on their identity alone: an image owns a read-only copy of its samples, so
-the same object always carries the same samples.
+Comparing filters, or noisy views on one warped guide, runs ``denoise``
+several times on one problem: the same guide, mask, weights and patch
+size, all the graph is made from.  ``denoise`` keeps the last problem it
+assembled, its block operator and the mask's median-fill plan
+(``dibr.fill_plan``), in a one-slot memo, so such a sweep assembles and
+plans the fill once.  The memo holds the guide and the mask by weak
+reference, is dropped when either dies, and is keyed on their identity
+alone: an image owns a read-only copy of its samples, which cannot change.
 """
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -38,7 +37,7 @@ from .errors import NumericError
 from .filters import FilterKind, FilterSpec, apply_filter
 from .graph import (NormalizedLaplacian, WeightParams, bilateral_weights,
                     build_graph, normalized_laplacian)
-from .image import HoleMask, ImageGray, _frozen, check_same_shape
+from .image import HoleMask, ImageGray, _frozen, _integer, check_same_shape
 
 # Published PSNR (dB) reported for these graph filters on the standard
 # multiview test sequences (not redistributable, so not reproducible here;
@@ -70,7 +69,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and >= 0")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (_integer(self.seed) and self.seed >= 0):
             raise ValueError("seed must be an integer >= 0")
 
 
@@ -109,8 +108,7 @@ class PatchGrid:
     patches: tuple = field(init=False)
 
     def __post_init__(self):
-        if not (isinstance(self.patch_size, numbers.Integral)
-                and self.patch_size >= MIN_PATCH_SIZE):
+        if not (_integer(self.patch_size) and self.patch_size >= MIN_PATCH_SIZE):
             raise ValueError(f"patch_size must be an integer >= {MIN_PATCH_SIZE}")
         tiles = []
         for y0 in range(0, self.height, self.patch_size):
@@ -265,10 +263,11 @@ def block_operator(guide: ImageGray, mask: HoleMask, grid: PatchGrid,
 @dataclass
 class DenoiseReport:
     """Run metrics.  PSNR fields are filled by callers that hold the clean
-    reference.  filter_seconds is the wall clock of the filter, plus graph
-    assembly and the fill plan on the call that made them (not on a call
-    that reuses them for the same problem); it is deliberately excluded
-    from the deterministic CSV serialization."""
+    reference.  filter_seconds is the wall clock of laying out and filtering
+    the noisy image, plus graph assembly and the fill plan on the call that
+    made them (not on a call that reuses them for the same problem: the same
+    guide and mask objects, weights and patch size); it is deliberately
+    excluded from the deterministic CSV serialization."""
 
     hole_pixels: int
     n_patches: int
@@ -334,25 +333,21 @@ def reference_comparison(results_db: dict) -> str:
 
 @dataclass(frozen=True, eq=False)
 class _Problem:
-    """One assembled denoise problem: the block operator L, the noisy
-    image in tile-major node order b and the mask's fill plan, with what
-    identifies the problem.
-
-    ``refs`` are weak references to the noisy image, guide and mask, whose
-    callbacks drop the memo when one of them dies."""
+    """One assembled denoise problem: the block operator L and the mask's
+    fill plan, with what they are made from; ``refs`` are weak references
+    to the guide and the mask, whose callbacks drop the memo when either dies."""
 
     refs: tuple
     weights: WeightParams
     patch_size: int
     L: NormalizedLaplacian
-    b: np.ndarray
     plan: FillPlan
 
-    def serves(self, noisy: ImageGray, guide: ImageGray, mask: HoleMask,
-               weights: WeightParams, patch_size: int) -> bool:
-        """Whether these inputs pose this problem: the same three objects
-        (whose samples cannot change) and equal parameters."""
-        return (all(r() is x for r, x in zip(self.refs, (noisy, guide, mask)))
+    def serves(self, guide: ImageGray, mask: HoleMask, weights: WeightParams,
+               patch_size: int) -> bool:
+        """Whether these inputs pose this problem: the same guide and mask
+        objects (whose samples cannot change) and equal parameters."""
+        return (all(r() is x for r, x in zip(self.refs, (guide, mask)))
                 and self.weights == weights and self.patch_size == patch_size)
 
 
@@ -366,7 +361,7 @@ def _forget(ref: weakref.ref) -> None:
         _memo = None
 
 
-def _assemble(noisy: ImageGray, guide: ImageGray, mask: HoleMask, grid: PatchGrid,
+def _assemble(guide: ImageGray, mask: HoleMask, grid: PatchGrid,
               weights: WeightParams, patch_size: int) -> _Problem:
     """This problem: the memo if it serves these inputs, else assembled and
     memoized in its place."""
@@ -374,13 +369,13 @@ def _assemble(noisy: ImageGray, guide: ImageGray, mask: HoleMask, grid: PatchGri
     # threads may race on the slot: each call uses the problem it checked or
     # built, so a lost update costs a rebuild, never a wrong operator
     m = _memo
-    if m is not None and m.serves(noisy, guide, mask, weights, patch_size):
+    if m is not None and m.serves(guide, mask, weights, patch_size):
         return m
     # drop the old problem first, so that the call's peak does not hold two
     _memo = m = None
-    _memo = m = _Problem(tuple(weakref.ref(x, _forget) for x in (noisy, guide, mask)),
-                         weights, patch_size, block_operator(guide, mask, grid, weights),
-                         _frozen(grid.to_nodes(noisy.to_array(), 0.0)), fill_plan(mask))
+    _memo = m = _Problem(tuple(weakref.ref(x, _forget) for x in (guide, mask)), weights,
+                         patch_size, block_operator(guide, mask, grid, weights),
+                         fill_plan(mask))
     return m
 
 
@@ -392,14 +387,13 @@ def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec
     pixels of the filtered image.  ``workers`` must be at least 1; it is
     accepted for compatibility and has no effect.
 
-    The operator and the mask's fill plan are made once per problem: a call
-    with the same noisy, guide and mask objects and equal weights and patch
-    size as the call before reuses that call's (see the module docstring).
-    The memo keeps about 56 B/pixel (the operator's DIA data and degrees,
-    and b) plus 16 B per fillable hole alive after the call, until one of
-    the three images dies or another problem is denoised."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    The operator and the mask's fill plan are made once per problem (see the
+    module docstring): a call with the same guide and mask objects, weights
+    and patch size as the one before reuses them, whatever its noisy image.
+    They keep about 48 B/pixel (DIA data and degrees) plus 16 B per fillable
+    hole alive until the guide or the mask dies or another problem comes."""
+    if not (_integer(workers) and workers >= 1):
+        raise ValueError("workers must be an integer >= 1")
     check_same_shape(noisy, guide, "noisy/guide")
     check_same_shape(noisy, mask, "noisy/mask")
     grid = split_patches(noisy, patch_size)
@@ -407,8 +401,9 @@ def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec
     # that filter_seconds times assembly and filtering only
     import scipy.sparse  # noqa: F401
     t0 = time.perf_counter()
-    m = _assemble(noisy, guide, mask, grid, weights, patch_size)
-    filtered = ImageGray.from_array(grid.from_nodes(apply_filter(spec, m.L, m.b)))
+    b = grid.to_nodes(noisy.to_array(), 0.0)
+    m = _assemble(guide, mask, grid, weights, patch_size)
+    filtered = ImageGray.from_array(grid.from_nodes(apply_filter(spec, m.L, b)))
     filter_seconds = time.perf_counter() - t0
     filled = median_fill(filtered, mask, m.plan)
     report = DenoiseReport(

@@ -32,13 +32,12 @@ and acceptance runs.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dibr import DepthMap
-from .image import ImageGray, atomic_write_bytes
+from .image import ImageGray, _integer, atomic_write_bytes
 
 BACKGROUND_DISPARITY_PX = 4.0
 FOREGROUND_DISPARITY_PX = 10.5
@@ -120,7 +119,7 @@ def synth_scene(size: int = 256, seed: int = DEFAULT_SEED) -> StereoScene:
     multiply-adds per wave and per sample.  ``size`` and ``seed`` must be
     integers.
     """
-    if not (isinstance(size, numbers.Integral) and isinstance(seed, numbers.Integral)):
+    if not (_integer(size) and _integer(seed)):
         raise ValueError(f"scene size and seed must be integers, got {size!r} and {seed!r}")
     if not 64 <= size <= MAX_SIZE:
         raise ValueError(f"scene size must be in [64, {MAX_SIZE}]")

@@ -16,9 +16,10 @@ from graphdenoise import (DimensionMismatchError, FilterKind, FilterSpec,
                           HoleMask, ImageGray, NoiseSpec, WeightParams,
                           add_gaussian_noise, apply_filter, build_graph,
                           denoise, dibr, median_fill, normalized_laplacian,
-                          pipeline, psnr, split_patches)
+                          pipeline, psnr, split_patches, synth_scene)
 from graphdenoise.graph import NormalizedLaplacian
 from graphdenoise.image import _frozen, check_same_shape
+from graphdenoise.oracle import cheb_response
 from graphdenoise.pipeline import (PatchGrid, block_operator, extract_patch,
                                    patch_operator)
 
@@ -487,8 +488,9 @@ print(noisy.samples.min(), noisy.samples.max(), out.samples.min(), out.samples.m
 
 
 class TestAssemblyMemo:
-    """denoise assembles a problem once and reuses its operator for the
-    same input objects, whose samples cannot change."""
+    """denoise assembles a problem once and reuses its operator and fill
+    plan for the same guide and mask objects, whose samples cannot change,
+    whatever the noisy image."""
 
     @staticmethod
     def _spy(monkeypatch) -> list:
@@ -503,6 +505,21 @@ class TestAssemblyMemo:
 
         monkeypatch.setattr(pipeline, "block_operator", block_operator)
         return built
+
+    @staticmethod
+    def _plan_spy(monkeypatch) -> list:
+        """The fill plans denoise makes from now on."""
+        plans = []
+        real = pipeline.fill_plan
+
+        def fill_plan(mask):
+            plans.append(real(mask))
+            return plans[-1]
+
+        # median_fill plans for itself when it is not handed the memo's plan
+        monkeypatch.setattr(pipeline, "fill_plan", fill_plan)
+        monkeypatch.setattr(dibr, "fill_plan", fill_plan)
+        return plans
 
     @staticmethod
     def _arrays(seed, shape=(40, 70)):
@@ -556,8 +573,8 @@ class TestAssemblyMemo:
     def test_a_changed_caller_array_is_assembled_again(self, monkeypatch, which, at):
         """A write to a caller's array after from_array cannot reach the
         images made from it: denoise on them reuses the operator and gives
-        the bytes from before the write.  Only images made again from the
-        changed array are a new problem, assembled again."""
+        the bytes from before the write.  Images made again from the arrays
+        are new guide and mask objects, a new problem, assembled again."""
         arrays = self._arrays(3)
         arrays["noisy"][at] = 0.0
         images = self._images(arrays)
@@ -584,16 +601,7 @@ class TestAssemblyMemo:
         images = self._images(arrays)
         specs = [FilterSpec(kind) for kind in FilterKind]
         expected = [self._fresh(images, spec, WeightParams(), 16) for spec in specs]
-        plans = []
-        real = pipeline.fill_plan
-
-        def fill_plan(mask):
-            plans.append(real(mask))
-            return plans[-1]
-
-        # median_fill plans for itself when it is not handed the memo's plan
-        monkeypatch.setattr(pipeline, "fill_plan", fill_plan)
-        monkeypatch.setattr(dibr, "fill_plan", fill_plan)
+        plans = self._plan_spy(monkeypatch)
         got = [denoise(*images, spec, WeightParams(), patch_size=16)[0].samples.tobytes()
                for spec in specs]
         assert len(specs) == 6 and len(plans) == 1
@@ -604,6 +612,21 @@ class TestAssemblyMemo:
         out, _ = denoise(*images, specs[0], WeightParams(), patch_size=16)
         assert len(plans) == 2 and plans[1].holes.size > plans[0].holes.size
         assert out.samples.tobytes() == self._fresh(images, specs[0], WeightParams(), 16)
+
+    @pytest.mark.parametrize("kind", list(FilterKind), ids=lambda kind: kind.value)
+    def test_a_new_noisy_view_reuses_the_operator_and_the_plan(self, monkeypatch, kind):
+        """The graph is made from the guide and the mask: a second noisy
+        view on the same guide and mask objects assembles nothing and plans
+        no fill, and its output is its own, the bytes of a fresh problem."""
+        noisy, guide, mask = self._problem(8)
+        renoised = add_gaussian_noise(noisy, NoiseSpec(10.0, 9))
+        spec, weights = FilterSpec(kind), WeightParams()
+        expected = self._fresh((renoised, guide, mask), spec, weights, 16)
+        first = denoise(noisy, guide, mask, spec, weights, patch_size=16)[0]
+        built, plans = self._spy(monkeypatch), self._plan_spy(monkeypatch)
+        out, _ = denoise(renoised, guide, mask, spec, weights, patch_size=16)
+        assert built == [] and plans == []
+        assert out.samples.tobytes() == expected != first.samples.tobytes()
 
     def test_the_memo_lets_its_operator_go(self, monkeypatch):
         built = self._spy(monkeypatch)
@@ -618,6 +641,15 @@ class TestAssemblyMemo:
         denoise(*A, spec, weights, patch_size=16)
         denoise(*B, spec, weights, patch_size=16)
         assert built[1]() is None and built[2]() is not None
+        del A, B
+        # the operator lives as long as the guide and the mask it is made
+        # from, not as long as the noisy image
+        for drop in ("noisy", "guide", "mask"):
+            images = dict(zip(("noisy", "guide", "mask"), self._problem(5)))
+            denoise(*images.values(), spec, weights, patch_size=16)
+            del images[drop]
+            gc.collect()
+            assert (built[-1]() is None) == (drop != "noisy"), drop
 
     def test_a_reuse_still_checks_the_patch_size(self):
         A = self._problem(6)
@@ -651,3 +683,30 @@ class TestPsnr:
         b = ImageGray.from_array(rng.uniform(0, 255, (4, 5)))
         with pytest.raises(DimensionMismatchError):
             psnr(a, b)
+
+
+_ZEROS = ImageGray.from_array(np.zeros((8, 8)))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda v: FilterSpec(FilterKind.K_CHEB, k=v), id="FilterSpec-k"),
+    pytest.param(lambda v: NoiseSpec(10.0, v), id="NoiseSpec-seed"),
+    pytest.param(lambda v: synth_scene(64, v), id="synth_scene-seed"),
+    pytest.param(lambda v: denoise(_ZEROS, _ZEROS, HoleMask.all_false(8, 8),
+                                   FilterSpec(FilterKind.JBF), WeightParams(),
+                                   patch_size=8, workers=v), id="denoise-workers"),
+    pytest.param(lambda v: cheb_response(v, 0.5), id="cheb_response-k")])
+@pytest.mark.parametrize("value", [True, 2.5, np.int64(3)], ids=["bool", "float", "int64"])
+def test_integer_parameters_reject_bools_and_fractions(call, value):
+    """The rule the rasters apply to width and height: numbers.Integral and
+    not bool, so numpy integers pass."""
+    if isinstance(value, np.integer):
+        call(value)
+    else:
+        with pytest.raises(ValueError, match="integer"):
+            call(value)
+
+
+def test_filter_spec_stores_k_as_an_int():
+    spec = FilterSpec(FilterKind.K_CHEB, k=np.int64(4))
+    assert type(spec.k) is int and spec == FilterSpec(FilterKind.K_CHEB, k=4)

@@ -54,13 +54,14 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     lines = dict(line.split(" ") for line in capsys.readouterr().out.splitlines())
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in lines.values())
     names = list(lines)
-    # workloads: 3 workloads x 2 seeds x 6 filters x (float64, 8-bit, fresh);
+    # workloads: 3 workloads x 2 seeds x 6 filters x (float64, 8-bit, fresh,
+    #            renoise);
     # ragged: 4 tilings x 2 sigma_r x (6 filters x (float64, 8-bit)
     #         + the operator + 6 apply_filter + 2 CGInfo);
     # scene: 4 (size, seed) pairs x (left, left.u8, right, right.u8, depth);
     # warp: (2 ramp seeds + 2 scene directions) x (guide, mask, phase counts),
     #       each scene guide followed by its 8-bit line
-    assert sum(n.startswith("workloads/") for n in names) == 3 * 2 * 6 * 3
+    assert sum(n.startswith("workloads/") for n in names) == 3 * 2 * 6 * 4
     assert {n.split("/")[1] for n in names if n.startswith("workloads/")} == \
         {"cli_chain", "filter_sweep", "ramp_disparity"}
     assert sum(n.startswith("ragged/") for n in names) == 4 * 2 * 21
@@ -76,6 +77,10 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     assert all(names[names.index(n) + 2] == f"{n}.fresh" for n in fresh)
     assert all(lines[f"{n}.fresh"] == lines[n] for n in fresh)
     assert sum(n.endswith(".fresh") for n in names) == len(fresh)
+    # and the same filter on a second noisy view of the same guide and mask
+    assert all(names[names.index(n) + 3] == f"{n}.renoise" for n in fresh)
+    assert all(lines[f"{n}.renoise"] != lines[n] for n in fresh)
+    assert sum(n.endswith(".renoise") for n in names) == len(fresh)
     assert sum(n.endswith("/operator") for n in names) == 4 * 2
     assert sum(n.endswith(".apply_filter") for n in names) == 4 * 2 * 6
     assert [n for n in names if n.startswith("scene/")] == [
