@@ -17,8 +17,11 @@ One ``name sha256`` line per output, in a fixed order:
   view followed by its ``.u8`` line;
 * ``warp``: guide, mask and phase counts of ``warp_guide`` on the
   benchmark's generated ramp inputs for seeds 101 and 102 (float sources,
-  all four quarter-pel phases) and on the bundled 256x256 scene in both
-  directions, each scene guide followed by its ``.u8`` line;
+  all four quarter-pel phases) in both directions (the left view warped
+  left to right, the right view right to left, where nearly every
+  background pixel has a deeper pixel within the occlusion band) and on
+  the bundled 256x256 scene in both directions, each scene guide followed
+  by its ``.u8`` line;
 * ``fill``: ``median_fill`` on seeded images whose few distinct values
   make ties of 0.0 and -0.0 common, with and without NaN samples, at
   three hole densities, including 1-pixel-wide and 1-pixel-tall images;
@@ -161,8 +164,9 @@ def section_warp() -> None:
 
     cases = []
     for seed in SEEDS:
-        left, _right, depth, _noise_seed = workloads.ramp_inputs(seed)
-        cases.append((f"ramp/seed{seed}", left, depth, "left_to_right", False))
+        left, right, depth, _noise_seed = workloads.ramp_inputs(seed)
+        for direction, source in (("left_to_right", left), ("right_to_left", right)):
+            cases.append((f"ramp/seed{seed}/{direction}", source, depth, direction, False))
     scene = synth_scene(size=256)
     for direction in ("left_to_right", "right_to_left"):
         cases.append((f"scene256/{direction}", scene.left, scene.depth, direction, True))

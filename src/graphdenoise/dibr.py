@@ -19,7 +19,18 @@ d_j - d_i with j on that side of i, bounds every fl(d_j - d_i) of the row
 in the others a cover needs |j - i| <= D + 0.75, so |j - i| <= ceil(D)
 (position rounding, relevant only for pixels that land in the image, is far
 below the 0.25 to spare).  Testing one column shift at a time on the rows
-with D > 1, up to ceil of their largest D, is therefore exact.
+with D > 1, up to band = ceil of their largest D, is therefore exact.
+
+Two more restrictions keep it exact.  With j on the cover side of i and at
+most band columns away, fl(max_j d_j - d_i) = max_j fl(d_j - d_i), again
+by monotone subtraction, so only a candidate, a pixel i with
+fl(max_j d_j - d_i) > 1, can be covered; the window maxima take
+ceil(log2 band) passes of doubling.  Every pixel a candidate's cover can
+come from lies at most band columns past it, so the shifts are tested only
+on the rows with a candidate, from their first candidate column to band
+columns past their last; a pixel in that span that is not a candidate
+passes no test.  The test runs column-major, so that a column shift moves
+whole rows of memory, with the same two comparisons on the same values.
 
 Hole pixels are excluded from graph construction entirely; after filtering
 they are patched by a 3x3 median over their available non-hole neighbors.
@@ -125,7 +136,10 @@ def _mark_covered(hole: np.ndarray, up: np.ndarray, d: np.ndarray,
                   left_to_right: bool) -> None:
     """Add to hole every pixel that another pixel of its row covers: the
     z-ordering test on the unquantized positions up, one column shift at a
-    time, run only where a cover can happen (module docstring)."""
+    time up to the band, the largest drop's ceiling.  It runs only where a
+    cover can land: on the rows with a candidate (a pixel with a disparity
+    more than 1 larger within the band on the cover side), from their first
+    candidate column to band columns past their last (module docstring)."""
     # flip a left-to-right warp so that every cover comes from a later column
     flip = slice(None, None, -1 if left_to_right else 1)
     d, up, hole = d[:, flip], up[:, flip], hole[:, flip]
@@ -135,12 +149,34 @@ def _mark_covered(hole: np.ndarray, up: np.ndarray, d: np.ndarray,
     rows = np.flatnonzero(drops > OCCLUSION_DISPARITY_STEP_PX)
     if not rows.size:
         return
-    band = min(d.shape[1] - 1, int(np.ceil(drops[rows].max())))
-    d, up, covered = d[rows], up[rows], hole[rows]
-    for s in range(1, band + 1):
-        near = np.abs(up[:, s:] - up[:, :-s]) <= OCCLUSION_RADIUS_PX
-        covered[:, :-s] |= near & (d[:, s:] - d[:, :-s] > OCCLUSION_DISPARITY_STEP_PX)
-    hole[rows] = covered
+    w = d.shape[1]
+    band = min(w - 1, int(np.ceil(drops[rows].max())))
+    # from here on column-major, so that a column shift moves whole rows of
+    # memory: column c of the selected rows is dt[c]
+    dt = d[rows].T.copy()
+    # the candidates: top[c] = max(dt[c + 1 : c + 1 + band]), its window
+    # doubled in place until it is band columns long
+    top, reach = dt[1:].copy(), 1
+    while reach < band:
+        step = min(reach, band - reach)
+        np.maximum(top[:-step], top[step:], out=top[:-step])
+        reach += step
+    top -= dt[:-1]
+    candidate = top > OCCLUSION_DISPARITY_STEP_PX
+    hit = candidate.any(axis=0)
+    if not hit.any():
+        return
+    # the rows with a candidate, from their first candidate column to band
+    # columns past their last
+    cols = np.flatnonzero(candidate.any(axis=1))
+    span = slice(cols[0], min(w, cols[-1] + 1 + band))
+    rows, dt = rows[hit], dt[span][:, hit]
+    ut, covered = up[rows, span].T.copy(), hole[rows, span].T.copy()
+    for s in range(1, min(band, len(covered) - 1) + 1):
+        near = ut[s:] - ut[:-s]
+        near = np.abs(near, out=near) <= OCCLUSION_RADIUS_PX
+        covered[:-s] |= near & (dt[s:] - dt[:-s] > OCCLUSION_DISPARITY_STEP_PX)
+    hole[rows, span] = covered.T
 
 
 def warp_guide(source: ImageGray, depth: DepthMap, params: WarpParams) -> WarpResult:
@@ -176,8 +212,8 @@ def warp_guide(source: ImageGray, depth: DepthMap, params: WarpParams) -> WarpRe
         phase_counts[p] = starts.size
 
     return WarpResult(
-        guide=ImageGray.from_array(guide),
-        mask=HoleMask.from_array(hole),
+        guide=ImageGray._own(guide),
+        mask=HoleMask._own(hole),
         phase_counts=phase_counts,
     )
 
@@ -245,7 +281,7 @@ def median_fill(img: ImageGray, mask: HoleMask, plan: FillPlan | None = None) ->
     some = count > 0
     out = img.samples.copy()
     out[plan.holes[some]] = nbrs[some, (count[some] - 1) // 2]
-    return ImageGray(img.width, img.height, out)
+    return ImageGray._own(out.reshape(img.height, img.width))
 
 
 # ---------------------------------------------------------------------------
@@ -267,4 +303,4 @@ def load_depth(path, disparity_scale: float) -> DepthMap:
     with np.errstate(over="ignore", invalid="ignore"):
         values = arr.astype(np.float64)
         values *= disparity_scale
-    return DepthMap.from_array(values)
+    return DepthMap._own(values)

@@ -29,6 +29,7 @@ filters compose freely.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -137,18 +138,22 @@ def chebyshev_series(h, k: int) -> PolyExpansion:
     return PolyExpansion(k=k, coeffs=c)
 
 
+@functools.lru_cache(maxsize=16, typed=True)
 def poly_expand_gbjbf(k: int, rho: float) -> PolyExpansion:
     """Degree-k series of gbjbf's response 1/(1 + rho lambda^2): the
     ``poly`` filter at k = spec.k, the gbjbf filter itself at
-    k = ``gbjbf_degree(rho)``."""
+    k = ``gbjbf_degree(rho)``.  Memoized: a series is read-only, so every
+    call with the same (k, rho) shares one."""
     return chebyshev_series(gbjbf_response(rho), k)
 
 
+@functools.lru_cache(maxsize=16, typed=True)
 def cheb_design(k: int, l: float) -> PolyExpansion:
     """The degree-k minimax low-pass with stop band [l, 2]
     (``oracle.cheb_response``) as its Chebyshev series.  On [0, 2] the
     polynomial is bounded by 1, so the series' three-term recurrence is
-    stable at every degree, where its root product is not."""
+    stable at every degree, where its root product is not.  Memoized like
+    ``poly_expand_gbjbf``."""
     return chebyshev_series(cheb_response(k, l), k)
 
 

@@ -36,7 +36,9 @@ class _Raster:
 
     The raster owns its samples: the field holds a read-only copy of what
     it was given, so a later write to the caller's array cannot reach it,
-    and the caller's array stays writable."""
+    and the caller's array stays writable.  ``_own`` is the one exception,
+    for an array the package has just made and keeps no other reference
+    to: the raster freezes that array itself instead of copying it."""
 
     width: int
     height: int
@@ -52,7 +54,9 @@ class _Raster:
             object.__setattr__(self, dim, int(v))
         if self.width < 1 or self.height < 1:
             raise DimensionMismatchError(f"{name} dimensions must be >= 1")
-        a = np.array(getattr(self, self._field), dtype=self._dtype)
+        a = getattr(self, self._field)
+        a = (np.asarray(a.array, self._dtype) if isinstance(a, _Fresh)
+             else np.array(a, dtype=self._dtype))
         if a.shape != (self.width * self.height,):
             raise DimensionMismatchError(
                 f"expected {self.width * self.height} {self._field}, got {a.shape}")
@@ -65,8 +69,21 @@ class _Raster:
             raise DimensionMismatchError("expected a 2-D array")
         return cls(a.shape[1], a.shape[0], a.reshape(-1))
 
+    @classmethod
+    def _own(cls, a: np.ndarray):
+        """``from_array`` without the copy: the raster takes the fresh 2-D
+        array a, of the field's dtype, and makes it read-only."""
+        return cls(a.shape[1], a.shape[0], _Fresh(a.reshape(-1)))
+
     def to_array(self) -> np.ndarray:
         return getattr(self, self._field).reshape(self.height, self.width)
+
+
+@dataclass(frozen=True)
+class _Fresh:
+    """The samples handed to ``_Raster._own``: taken as they are, not copied."""
+
+    array: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -241,4 +258,4 @@ def save_mask(path, mask: HoleMask) -> None:
 
 
 def load_mask(path) -> HoleMask:
-    return HoleMask.from_array(read_pbm(path))
+    return HoleMask._own(read_pbm(path))

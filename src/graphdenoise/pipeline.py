@@ -90,7 +90,7 @@ def add_gaussian_noise(img: ImageGray, spec: NoiseSpec) -> ImageGray:
         noisy = rng.standard_normal(img.samples.size)
         noisy *= spec.sigma
         noisy += img.samples
-        return ImageGray(img.width, img.height, noisy)
+        return ImageGray._own(noisy.reshape(img.height, img.width))
 
 
 @dataclass(frozen=True)
@@ -403,7 +403,7 @@ def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec
     t0 = time.perf_counter()
     b = grid.to_nodes(noisy.to_array(), 0.0)
     m = _assemble(guide, mask, grid, weights, patch_size)
-    filtered = ImageGray.from_array(grid.from_nodes(apply_filter(spec, m.L, b)))
+    filtered = ImageGray._own(grid.from_nodes(apply_filter(spec, m.L, b)))
     filter_seconds = time.perf_counter() - t0
     filled = median_fill(filtered, mask, m.plan)
     report = DenoiseReport(

@@ -157,9 +157,9 @@ def synth_scene(size: int = 256, seed: int = DEFAULT_SEED) -> StereoScene:
         "warp_direction": "left_to_right",
     }
     return StereoScene(
-        left=ImageGray.from_array(left),
-        right=ImageGray.from_array(right),
-        depth=DepthMap.from_array(disp),
+        left=ImageGray._own(left),
+        right=ImageGray._own(right),
+        depth=DepthMap._own(disp),
         meta=meta,
     )
 

@@ -135,7 +135,8 @@ class TestWarpGuide:
     @settings(max_examples=200)
     @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 64),
            height=st.integers(1, 5), integer_source=st.booleans(),
-           spread=st.sampled_from(["zero", "small", "wide", "layered", "rows"]),
+           spread=st.sampled_from(["zero", "small", "wide", "layered", "rows",
+                                   "islands"]),
            direction=st.sampled_from(["left_to_right", "right_to_left"]))
     # the widest possible cover: pixel 0 covers pixel w - 1, or the reverse
     @example(seed=0, width=10, height=1, integer_source=False, spread="edge",
@@ -146,10 +147,16 @@ class TestWarpGuide:
              direction="left_to_right")
     @example(seed=1, width=12, height=1, integer_source=False, spread="rows",
              direction="right_to_left")
+    @example(seed=2, width=40, height=3, integer_source=False, spread="islands",
+             direction="left_to_right")
+    @example(seed=2, width=40, height=3, integer_source=False, spread="islands",
+             direction="right_to_left")
     def test_matches_per_row_loop_bitwise(self, seed, width, height, integer_source,
                                           spread, direction):
         if spread == "rows":
             height += 4  # room for every row kind
+        elif spread == "islands":
+            height += 2  # room for rows with and without islands
         r = np.random.default_rng(seed)
         src = r.uniform(0, 255, (height, width))
         if integer_source:
@@ -167,6 +174,8 @@ class TestWarpGuide:
             disp[:, 0 if direction == "left_to_right" else -1] = width - 1
         elif spread == "rows":
             disp = _mixed_rows(r, height, width, direction)
+        elif spread == "islands":
+            disp = _islands(r, height, width)
         else:
             disp = r.uniform(0.0, 3.0 if spread == "small" else 2.5 * width + 10.0, shape)
         if spread != "rows":
@@ -261,6 +270,23 @@ def _mixed_rows(r, height, width, direction) -> np.ndarray:
     rows = np.stack([kinds[k] for k in r.permutation(np.arange(height) % 5)])
     # kinds are written for left_to_right; a mirrored row serves right_to_left
     return rows if direction == "left_to_right" else rows[:, ::-1].copy()
+
+
+def _islands(r, height, width) -> np.ndarray:
+    """A flat background with, in a random half of the rows, two narrow
+    foreground islands far apart: one within the first quarter of the row,
+    one within the last, often at the row's very end.  Only pixels near an
+    island can be covered, so the covered columns of different rows, and the
+    rows with a candidate, are far apart, and a cover's column span plus
+    its band often reaches a row end."""
+    disp = np.full((height, width), r.uniform(0.0, 2.0))
+    quarter = max(width // 4, 1)
+    for row in np.flatnonzero(r.random(height) < 0.5):
+        for left in (True, False):
+            x, n = r.integers(0, quarter), r.integers(1, 4)
+            cols = slice(x, x + n) if left else slice(max(width - x - n, 0), width - x)
+            disp[row, cols] += r.uniform(1.0, width / 2 + 2.0)
+    return disp
 
 
 def _assert_same_warp(got: WarpResult, want: WarpResult) -> None:

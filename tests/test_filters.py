@@ -12,7 +12,7 @@ from graphdenoise import (DimensionMismatchError, FilterKind, FilterSpec, HoleMa
                           dense_eig, exact_filter, gbjbf_degree, jbf,
                           krylov_minimize, normalize_signal, normalized_laplacian,
                           poly_expand_gbjbf, poly_filter, quadratic_objective)
-from graphdenoise.filters import FILTERS, MAX_K, PolyExpansion
+from graphdenoise.filters import FILTERS, MAX_K, PolyExpansion, chebyshev_series
 from graphdenoise.oracle import cheb_response, gbjbf_response
 from graphdenoise.pipeline import block_operator, patch_operator, split_patches
 
@@ -153,6 +153,20 @@ class TestPolyExpansion:
         p = poly_expand_gbjbf(8, 2.0)
         lam = np.linspace(0, 2, 201)
         assert np.max(np.abs(p.evaluate(lam) - 1.0 / (1.0 + 2.0 * lam**2))) < 0.02
+
+    @pytest.mark.parametrize("design,response,k,param", [
+        (poly_expand_gbjbf, gbjbf_response, 3, 2.0),
+        (poly_expand_gbjbf, gbjbf_response, gbjbf_degree(2.0), 2.0),
+        (cheb_design, cheb_response, 3, 0.5),
+        (cheb_design, cheb_response, 1, 0.5)])
+    def test_memoized_series_is_the_fresh_series(self, design, response, k, param):
+        first = design(k, param)
+        assert design(k, param) is first
+        fresh = chebyshev_series(response(param) if design is poly_expand_gbjbf
+                                 else response(k, param), k)
+        assert first.k == fresh.k == k and type(first.k) is int
+        assert first.coeffs.tobytes() == fresh.coeffs.tobytes()
+        assert not first.coeffs.flags.writeable
 
 
 class TestGbjbfDegree:

@@ -52,3 +52,40 @@ def test_numpy_integer_dimensions_accepted(cls, width, height):
     assert (r.width, r.height) == (int(width), int(height))
     assert type(r.width) is int and type(r.height) is int
     assert r.to_array().shape == (int(height), int(width))
+
+
+@pytest.mark.parametrize("cls", RASTERS, ids=lambda c: c.__name__)
+def test_own_freezes_a_fresh_array_without_copying_it(rng, cls):
+    fresh = rng.uniform(0.0, 9.0, (6, 10)).astype(cls._dtype)
+    r = cls._own(fresh)
+    field = getattr(r, r._field)
+    assert np.shares_memory(field, fresh)
+    assert not field.flags.writeable
+    assert r.to_array().shape == (6, 10)
+    with pytest.raises(ValueError, match="read-only"):
+        field[0] = 0
+
+
+def test_package_outputs_are_read_only_and_share_no_memory(tmp_path):
+    # every raster below is made by the package, and each one that takes
+    # another as input takes a raster made earlier in the list
+    from graphdenoise import (FilterKind, FilterSpec, NoiseSpec, WarpParams,
+                              WeightParams, add_gaussian_noise, denoise,
+                              median_fill, synth_scene, warp_guide)
+    from graphdenoise.dibr import load_depth, save_depth
+    from graphdenoise.image import load_mask, save_mask
+
+    sc = synth_scene(64, seed=3)
+    warped = warp_guide(sc.left, sc.depth, WarpParams())
+    noisy = add_gaussian_noise(sc.right, NoiseSpec(10.0, 7))
+    out, _ = denoise(noisy, warped.guide, warped.mask, FilterSpec(FilterKind.K_CHEB),
+                     WeightParams(), patch_size=32)
+    save_depth(tmp_path / "d.pgm", sc.depth, 0.25)
+    save_mask(tmp_path / "m.pbm", warped.mask)
+    rasters = [sc.left, sc.right, sc.depth, warped.guide, warped.mask, noisy,
+               median_fill(noisy, warped.mask), out,
+               load_depth(tmp_path / "d.pgm", 0.25), load_mask(tmp_path / "m.pbm")]
+    fields = [getattr(r, r._field) for r in rasters]
+    for i, field in enumerate(fields):
+        assert not field.flags.writeable, i
+        assert [np.shares_memory(field, f) for f in fields].count(True) == 1, i

@@ -59,8 +59,9 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     # ragged: 4 tilings x 2 sigma_r x (6 filters x (float64, 8-bit)
     #         + the operator + 6 apply_filter + 2 CGInfo);
     # scene: 4 (size, seed) pairs x (left, left.u8, right, right.u8, depth);
-    # warp: (2 ramp seeds + 2 scene directions) x (guide, mask, phase counts),
-    #       each scene guide followed by its 8-bit line
+    # warp: (2 ramp seeds x 2 directions + 2 scene directions)
+    #       x (guide, mask, phase counts), each scene guide followed by its
+    #       8-bit line
     assert sum(n.startswith("workloads/") for n in names) == 3 * 2 * 6 * 4
     assert {n.split("/")[1] for n in names if n.startswith("workloads/")} == \
         {"cli_chain", "filter_sweep", "ramp_disparity"}
@@ -88,7 +89,8 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
         for case in ("64s2014", "100s3", "257s11", "1000s2014")
         for out in ("left", "left.u8", "right", "right.u8", "depth")]
     assert [n for n in names if n.startswith("warp/")] == [
-        *(f"warp/ramp/{case}/{out}" for case in ("seed101", "seed102")
+        *(f"warp/ramp/{seed}/{case}/{out}" for seed in ("seed101", "seed102")
+          for case in ("left_to_right", "right_to_left")
           for out in ("guide", "mask", "phase_counts")),
         *(f"warp/scene256/{case}/{out}" for case in ("left_to_right", "right_to_left")
           for out in ("guide", "guide.u8", "mask", "phase_counts"))]
