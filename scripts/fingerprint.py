@@ -20,8 +20,8 @@ One ``name sha256`` line per output, in a fixed order:
   all four quarter-pel phases) in both directions (the left view warped
   left to right, the right view right to left, where nearly every
   background pixel has a deeper pixel within the occlusion band) and on
-  the bundled 256x256 scene in both directions, each scene guide followed
-  by its ``.u8`` line;
+  the bundled 256x256 scene in both directions, each guide followed by its
+  ``.u8`` line;
 * ``fill``: ``median_fill`` on seeded images whose few distinct values
   make ties of 0.0 and -0.0 common, with and without NaN samples, at
   three hole densities, including 1-pixel-wide and 1-pixel-tall images;
@@ -31,7 +31,7 @@ One ``name sha256`` line per output, in a fixed order:
   and the CSVs of ``scripts/export_responses.py``.
 
 Each float64 ``denoise`` output of ``workloads`` and ``ragged``, each scene
-view and each warped scene guide is followed by a ``.u8`` line hashing the
+view and each warped guide is followed by a ``.u8`` line hashing the
 8-bit image ``save_image`` would write (``quantize_u8``), so a diff shows
 at once whether a change that moves float64 digits on purpose moved any
 8-bit image.  In ``workloads`` a
@@ -166,16 +166,13 @@ def section_warp() -> None:
     for seed in SEEDS:
         left, right, depth, _noise_seed = workloads.ramp_inputs(seed)
         for direction, source in (("left_to_right", left), ("right_to_left", right)):
-            cases.append((f"ramp/seed{seed}/{direction}", source, depth, direction, False))
+            cases.append((f"ramp/seed{seed}/{direction}", source, depth, direction))
     scene = synth_scene(size=256)
     for direction in ("left_to_right", "right_to_left"):
-        cases.append((f"scene256/{direction}", scene.left, scene.depth, direction, True))
-    for tag, source, depth, direction, u8 in cases:
+        cases.append((f"scene256/{direction}", scene.left, scene.depth, direction))
+    for tag, source, depth, direction in cases:
         r = warp_guide(source, depth, WarpParams(direction))
-        if u8:
-            emit_image(f"warp/{tag}/guide", r.guide)
-        else:
-            emit(f"warp/{tag}/guide", r.guide.samples.tobytes())
+        emit_image(f"warp/{tag}/guide", r.guide)
         emit(f"warp/{tag}/mask", r.mask.flags.tobytes())
         emit(f"warp/{tag}/phase_counts", r.phase_counts.tobytes())
 

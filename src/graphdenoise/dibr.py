@@ -4,11 +4,17 @@ The warp is backward and purely horizontal (rectified stereo): every target
 pixel [u, v] samples the source view at u' = u +- disparity[v, u],
 quantized to the quarter-pel grid.  Fractional positions use the standard
 H.265/HEVC 8-tap (half-pel) and 7-tap (quarter-pel) luma kernels, each run
-only on the windows of the pixels at its phase, so a phase no pixel has
-costs nothing; whole-pel pixels copy their source sample.  A target pixel
-becomes a hole when its source position leaves the image or when a pixel
-with sufficiently larger disparity lands on (almost) the same source
-position -- a simple deterministic z-ordering proxy for occlusion.
+only on the pixels at its phase, so a phase no pixel has costs nothing;
+whole-pel pixels copy their source sample.  A kernel is a fixed-order tap
+sum (``interp_subpel``): one gather per tap from the edge-padded source,
+then one correctly rounded multiply and add per tap, left to right, with
+no BLAS, so a float source gives the same guide bits under any BLAS
+build, kernel or thread count.  (With an 8-bit source the integer
+products and sums are exact, so any order of the taps gives the same
+guide.)  A target pixel becomes a hole when its source position leaves the
+image or when a pixel with sufficiently larger disparity lands on (almost)
+the same source position -- a simple deterministic z-ordering proxy for
+occlusion.
 
 Pixel j covers pixel i of its row when |u'_j - u'_i| <= 0.75 and
 d_j - d_i > 1.  Left to right (u' = u + d), u'_j - u'_i = (j - i) +
@@ -45,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatchError, FileFormatError
 from .image import (HoleMask, ImageGray, _frozen, _Raster, check_same_shape,
@@ -59,6 +64,10 @@ QUARTER_TAPS = np.array([-1, 4, -10, 58, 17, -5, 1], dtype=np.int64)
 THREE_QUARTER_TAPS = QUARTER_TAPS[::-1].copy()
 
 PHASES = (0.0, 0.25, 0.5, 0.75)
+# each fractional phase: the offset of its first tap in the 8-sample
+# window, and its taps as floats
+_KERNELS = {phase: (first, tuple(map(float, taps))) for phase, first, taps in (
+    (0.25, 0, QUARTER_TAPS), (0.5, 0, HALF_TAPS), (0.75, 1, THREE_QUARTER_TAPS))}
 
 # Occlusion proxy: a pixel is covered when another pixel maps within this
 # horizontal distance of its source position with disparity larger by more
@@ -101,35 +110,54 @@ class WarpResult:
                            _frozen(np.asarray(self.phase_counts, np.int64)))
 
 
-def interp_subpel(samples: np.ndarray, phase: float) -> float | np.ndarray:
-    """Interpolate at a quarter-pel phase from 8 consecutive samples.
+def interp_subpel(samples: np.ndarray, phase: float, starts=0) -> float | np.ndarray:
+    """Interpolate at a quarter-pel phase from windows of 8 consecutive samples.
 
-    samples[..., 3] is the integer-position sample; callers replicate
-    boundary pixels.  Phase 0 returns it exactly.  No intermediate clipping.
-    Windows stacked on the last axis give an array, each value bitwise equal
-    to that window's float (np.vecdot keeps the order of taps @ window).
+    ``samples`` is 1-D and a window is ``samples[start : start + 8]``; its
+    sample 3 is the integer position, and callers replicate boundary
+    pixels.  ``starts`` is one start, giving a float, or an integer array of
+    them, giving an array of its shape, one value per start.  Phase 0
+    returns the integer-position sample exactly.  No intermediate clipping.
+
+    A fractional phase is one fixed-order tap sum: each tap's samples are
+    gathered straight from ``samples``, then v = s_0 t_0, v += s_1 t_1, ...,
+    v /= 64, each product and add correctly rounded, left to right.  No
+    BLAS kernel takes part, so every value is bitwise equal to that
+    window's own call and to the same sum in Python, on any host.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape[-1:] != (8,):
-        raise DimensionMismatchError("interp_subpel needs exactly 8 samples")
+    at = np.asarray(starts)
+    if at.dtype.kind not in "iu":
+        raise ValueError("interp_subpel starts must be integers")
+    if samples.ndim != 1 or at.size and (at.min() < 0 or at.max() > samples.size - 8):
+        raise DimensionMismatchError("interp_subpel needs 8 samples from each start")
+    shape, at = at.shape, at.reshape(-1)
     if phase == 0.0:
-        out = samples[..., 3]
-    elif phase == 0.5:
-        out = np.vecdot(samples, HALF_TAPS) / 64.0
-    elif phase == 0.25:
-        out = np.vecdot(samples[..., 0:7], QUARTER_TAPS) / 64.0
-    elif phase == 0.75:
-        out = np.vecdot(samples[..., 1:8], THREE_QUARTER_TAPS) / 64.0
+        out = samples[3:].take(at)
+    elif phase in _KERNELS:
+        first, taps = _KERNELS[phase]
+        out = samples[first:].take(at)
+        out *= taps[0]
+        tap = np.empty_like(out)
+        for k, t in enumerate(taps[1:], first + 1):
+            # the starts are checked above, so clipping moves none of them
+            np.take(samples[k:], at, out=tap, mode="clip")
+            tap *= t
+            out += tap
+        out /= 64.0
     else:
         raise ValueError(f"phase must be one of {PHASES}, got {phase}")
-    return float(out) if out.ndim == 0 else out
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def _quantize_quarter(u: np.ndarray) -> np.ndarray:
     """Nearest quarter-pel position in units of 1/4 pel (ties round up).
     Clipping u to [-1, w] (w = u.shape[-1]) keeps every result inside
     [0, 4(w - 1)] and every one outside it, and keeps the cast defined."""
-    return np.floor(4.0 * np.clip(u, -1.0, u.shape[-1]) + 0.5).astype(np.int64)
+    q = np.clip(u, -1.0, u.shape[-1])
+    q *= 4.0
+    q += 0.5
+    return np.floor(q, out=np.empty(q.shape, np.int64), casting="unsafe")
 
 
 def _mark_covered(hole: np.ndarray, up: np.ndarray, d: np.ndarray,
@@ -182,33 +210,41 @@ def _mark_covered(hole: np.ndarray, up: np.ndarray, d: np.ndarray,
 def warp_guide(source: ImageGray, depth: DepthMap, params: WarpParams) -> WarpResult:
     """Backward-warp the source view to the depth map's perspective."""
     check_same_shape(source, depth, "source/depth")
-    w = source.width
-    src = source.to_array()
+    h, w = source.height, source.width
     d = depth.to_array()
     left_to_right = params.direction == "left_to_right"
 
-    up = np.arange(w, dtype=np.float64) + (1.0 if left_to_right else -1.0) * d
-    q4 = _quantize_quarter(up)
-    hole = (q4 < 0) | (q4 > 4 * (w - 1))
-    _mark_covered(hole, up, d, left_to_right)
-
     # window b of a row is its samples b-3 .. b+4, boundary pixels replicated:
     # the 8 flat samples of the padded source from row * (w + 7) + b on.
-    # A fractional phase gathers only its own pixels' windows (none when no
-    # pixel has it); phase 0 reads their centre samples in place.
-    windows = sliding_window_view(np.pad(src, ((0, 0), (3, 4)), mode="edge").reshape(-1), 8)
-    guide = np.zeros(src.shape, dtype=np.float64)
+    # A fractional phase gathers only its own pixels' taps (none when no
+    # pixel has it); phase 0 reads their centre samples.
+    padded = np.empty((h, w + 7))
+    padded[:, 3:-4] = source.to_array()
+    padded[:, :3] = padded[:, 3:4]
+    padded[:, -4:] = padded[:, -5:-4]
+    padded = padded.reshape(-1)
+
+    u = np.arange(w, dtype=np.float64)
+    up = u + d if left_to_right else u - d
+    q4 = _quantize_quarter(up)
+    # q4 < 0 or q4 > 4(w - 1) in one test: a negative q4 is above 2**63 as unsigned
+    hole = q4.view(np.uint64) > 4 * (w - 1)
+    _mark_covered(hole, up, d, left_to_right)
+
+    # the occlusion test was up's last reader: the guide takes its buffer,
+    # 0 at the holes, and every other pixel is written by its phase below
+    guide = up
+    guide[hole] = 0.0
     phase_counts = np.zeros(4, dtype=np.int64)
     # each pixel's phase (-1 for a hole) and the flat start of its window
     label = np.bitwise_and(q4, 3, out=np.empty(q4.shape, np.int8))
     label[hole] = -1
     q4 >>= 2
-    q4 += (w + 7) * np.arange(len(q4))[:, None]
+    q4 += (w + 7) * np.arange(h)[:, None]
     for p, phase in enumerate(PHASES):
         sel = label == p
         starts = q4[sel]
-        guide[sel] = (interp_subpel(windows, phase)[starts] if p == 0
-                      else interp_subpel(windows[starts], phase))
+        guide[sel] = interp_subpel(padded, phase, starts)
         phase_counts[p] = starts.size
 
     return WarpResult(

@@ -67,7 +67,8 @@ class _Raster:
         a = np.asarray(a)
         if a.ndim != 2:
             raise DimensionMismatchError("expected a 2-D array")
-        return cls(a.shape[1], a.shape[0], a.reshape(-1))
+        # one row-major copy in the field's dtype, which the raster then owns
+        return cls._own(np.array(a, dtype=cls._dtype, order="C"))
 
     @classmethod
     def _own(cls, a: np.ndarray):

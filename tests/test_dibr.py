@@ -1,3 +1,7 @@
+import functools
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -38,27 +42,55 @@ class TestInterpKernels:
         assert v == pytest.approx(3.5, abs=1e-12)  # 8-tap kernel is symmetric
 
     def test_quarter_pel_against_direct_convolution(self):
+        def direct(window, taps):
+            # the taps summed left to right in Python floats
+            samples, taps = window.tolist(), taps.tolist()
+            v = samples[0] * taps[0]
+            for sample, tap in zip(samples[1:], taps[1:]):
+                v += sample * tap
+            return v / 64.0
+
         rng = np.random.default_rng(5)
         s = rng.uniform(0, 255, 8)
-        assert interp_subpel(s, 0.25) == float(QUARTER_TAPS @ s[0:7]) / 64.0
-        assert interp_subpel(s, 0.75) == float(THREE_QUARTER_TAPS @ s[1:8]) / 64.0
+        assert interp_subpel(s, 0.25) == direct(s[0:7], QUARTER_TAPS)
+        assert interp_subpel(s, 0.75) == direct(s[1:8], THREE_QUARTER_TAPS)
         # a stack of windows gives, bit for bit, each window's own tap sum
         windows = rng.uniform(-300, 300, (10_000, 8)) * rng.choice([1e-3, 1, 1e3], (10_000, 1))
-        direct = {0.0: lambda win: win[3],
-                  0.25: lambda win: float(QUARTER_TAPS @ win[0:7]) / 64.0,
-                  0.5: lambda win: float(HALF_TAPS @ win) / 64.0,
-                  0.75: lambda win: float(THREE_QUARTER_TAPS @ win[1:8]) / 64.0}
-        for phase, one in direct.items():
-            batch = interp_subpel(windows, phase)
+        refs = {0.0: lambda win: win[3],
+                0.25: lambda win: direct(win[0:7], QUARTER_TAPS),
+                0.5: lambda win: direct(win, HALF_TAPS),
+                0.75: lambda win: direct(win[1:8], THREE_QUARTER_TAPS)}
+        for phase, one in refs.items():
+            batch = interp_subpel(windows.reshape(-1), phase, 8 * np.arange(10_000))
             assert batch.shape == (10_000,)
             assert batch.tobytes() == np.array([one(win) for win in windows]).tobytes()
-            assert isinstance(interp_subpel(windows[0], phase), float)
+            scalar = [interp_subpel(win, phase) for win in windows]
+            assert all(isinstance(v, float) for v in scalar)
+            assert batch.tobytes() == np.array(scalar).tobytes()
+
+    def test_windows_start_anywhere_in_the_samples(self, rng):
+        s = rng.uniform(0, 255, 30)
+        starts = np.array([22, 0, 5, 5, 13])
+        for phase in PHASES:
+            batch = interp_subpel(s, phase, starts)
+            assert batch.tobytes() == np.array(
+                [interp_subpel(s[b : b + 8], phase) for b in starts]).tobytes()
+            assert interp_subpel(s, phase, np.array([], np.int64)).shape == (0,)
+            grid = interp_subpel(s, phase, np.array([[3, 1], [0, 22]]))
+            assert grid.shape == (2, 2) and grid[1, 1] == batch[0]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DimensionMismatchError):
             interp_subpel(np.zeros(7), 0.5)
         with pytest.raises(ValueError):
             interp_subpel(np.zeros(8), 0.3)
+        for starts in (-1, 3, np.array([0, 3])):
+            with pytest.raises(DimensionMismatchError):
+                interp_subpel(np.zeros(10), 0.5, starts)
+        with pytest.raises(DimensionMismatchError):
+            interp_subpel(np.zeros((2, 8)), 0.5)
+        with pytest.raises(ValueError, match="integers"):
+            interp_subpel(np.zeros(8), 0.5, 0.0)
 
 
 class TestWarpGuide:
@@ -343,6 +375,64 @@ def _warp_guide_loop(source, depth, params) -> WarpResult:
         mask=HoleMask.from_array(hole),
         phase_counts=phase_counts,
     )
+
+
+# The float-source guides of the benchmark's ramp (seed 401, each view in
+# its warp direction) and of the float 256x256 scene's left view in both
+# directions, hashed in a fresh process whose OpenBLAS setting is fixed
+# before numpy loads.
+_HASH_FLOAT_GUIDES = """
+import hashlib
+from workloads import ramp_inputs
+from graphdenoise import WarpParams, synth_scene, warp_guide
+left, right, depth, _ = ramp_inputs(401)
+scene = synth_scene(size=256)
+h = hashlib.sha256()
+for source, disparity, direction in ((left, depth, "left_to_right"),
+                                     (right, depth, "right_to_left"),
+                                     (scene.left, scene.depth, "left_to_right"),
+                                     (scene.left, scene.depth, "right_to_left")):
+    h.update(warp_guide(source, disparity, WarpParams(direction)).guide.samples.tobytes())
+print(h.hexdigest())
+"""
+
+_BLAS_SETTINGS = {"threads1": {"OPENBLAS_NUM_THREADS": "1"},
+                  "threads2": {"OPENBLAS_NUM_THREADS": "2"},
+                  "Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+                  "Haswell": {"OPENBLAS_CORETYPE": "Haswell"}}
+
+
+@functools.cache
+def _float_guides_hash(setting: str) -> str:
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    env.update(_BLAS_SETTINGS[setting])
+    r = subprocess.run([sys.executable, "-c", _HASH_FLOAT_GUIDES], env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.strip()
+
+
+def _has_avx2() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("AVX2"))
+
+
+@pytest.mark.skipif(
+    "openblas" not in np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    .get("name", ""), reason="numpy is not linked to OpenBLAS")
+@pytest.mark.parametrize("setting", ["threads2", "Prescott", "Haswell"])
+def test_float_warp_guides_do_not_depend_on_openblas(setting):
+    # the tap sums use no BLAS, so OpenBLAS's thread count and the kernel
+    # it picks for the CPU cannot move a guide bit
+    if setting == "Haswell" and not _has_avx2():
+        pytest.skip("OpenBLAS's Haswell kernel needs AVX2")
+    assert _float_guides_hash(setting) == _float_guides_hash("threads1")
 
 
 class TestMedianFill:

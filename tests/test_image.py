@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,25 @@ def test_own_freezes_a_fresh_array_without_copying_it(rng, cls):
     assert r.to_array().shape == (6, 10)
     with pytest.raises(ValueError, match="read-only"):
         field[0] = 0
+
+
+@pytest.mark.parametrize("how", ["sliced", "transposed", "converted"])
+@pytest.mark.parametrize("cls", RASTERS, ids=lambda c: c.__name__)
+def test_from_array_copies_the_samples_once(rng, cls, how):
+    big = rng.uniform(0.0, 9.0, (512, 512))
+    if how == "converted":
+        big = big.astype(np.float32)
+    given = big[:256, :256].T if how == "transposed" else big[:256, :256]
+    field_bytes = 256 * 256 * np.dtype(cls._dtype).itemsize
+    tracemalloc.start()
+    try:
+        r = cls.from_array(given)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(r.to_array(), np.array(given, cls._dtype))
+    # one copy of the samples, plus DepthMap's 1-byte-per-pixel checks, not two
+    assert peak < 1.25 * field_bytes
 
 
 def test_package_outputs_are_read_only_and_share_no_memory(tmp_path):

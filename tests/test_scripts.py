@@ -60,8 +60,8 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     #         + the operator + 6 apply_filter + 2 CGInfo);
     # scene: 4 (size, seed) pairs x (left, left.u8, right, right.u8, depth);
     # warp: (2 ramp seeds x 2 directions + 2 scene directions)
-    #       x (guide, mask, phase counts), each scene guide followed by its
-    #       8-bit line
+    #       x (guide, mask, phase counts), each guide followed by its 8-bit
+    #       line
     assert sum(n.startswith("workloads/") for n in names) == 3 * 2 * 6 * 4
     assert {n.split("/")[1] for n in names if n.startswith("workloads/")} == \
         {"cli_chain", "filter_sweep", "ramp_disparity"}
@@ -71,8 +71,8 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
                 and n.rsplit("/", 1)[1] in {kind.value for kind in FilterKind}]
     assert len(denoised) == 3 * 2 * 6 + 4 * 2 * 6
     assert all(names[names.index(n) + 1] == f"{n}.u8" for n in denoised)
-    # ... as is each scene view and each scene guide (below)
-    assert sum(n.endswith(".u8") for n in names) == len(denoised) + 4 * 2 + 2
+    # ... as is each scene view and each warped guide (below)
+    assert sum(n.endswith(".u8") for n in names) == len(denoised) + 4 * 2 + 2 * 2 + 2
     # then, in workloads, the same filter on fresh copies of the inputs
     fresh = [n for n in denoised if n.startswith("workloads/")]
     assert all(names[names.index(n) + 2] == f"{n}.fresh" for n in fresh)
@@ -91,7 +91,7 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     assert [n for n in names if n.startswith("warp/")] == [
         *(f"warp/ramp/{seed}/{case}/{out}" for seed in ("seed101", "seed102")
           for case in ("left_to_right", "right_to_left")
-          for out in ("guide", "mask", "phase_counts")),
+          for out in ("guide", "guide.u8", "mask", "phase_counts")),
         *(f"warp/scene256/{case}/{out}" for case in ("left_to_right", "right_to_left")
           for out in ("guide", "guide.u8", "mask", "phase_counts"))]
     # fill: 3 image sizes x (without, with NaN samples) x 3 hole densities
