@@ -10,8 +10,10 @@ One ``name sha256`` line per output, in a fixed order:
   tilings end in ragged patches, at sigma_r 10 and 3, plus each block
   operator itself (its DIA offsets and data and its degrees), all six
   filters' ``apply_filter`` on it (whose values at isolated nodes
-  ``denoise``'s median fill mostly overwrites) and the per-segment
-  ``CGInfo`` of ``cg`` and ``cg0`` on it;
+  ``denoise``'s median fill mostly overwrites), a ``.fast`` line per
+  filter, its registry fast path on the normalized signal, which keeps
+  the filter's own values at isolated nodes (``apply_filter`` overwrites
+  them), and the per-segment ``CGInfo`` of ``cg`` and ``cg0`` on it;
 * ``scene``: the float64 left, right and depth samples of ``synth_scene``
   for a few (size, seed) pairs, which 8-bit PGMs would round away, each
   view followed by its ``.u8`` line;
@@ -115,7 +117,7 @@ def section_ragged() -> None:
     from graphdenoise import (FilterKind, FilterSpec, HoleMask, ImageGray,
                               WeightParams, apply_filter, denoise,
                               normalize_signal)
-    from graphdenoise.filters import cg_filter
+    from graphdenoise.filters import FILTERS, cg_filter
     from graphdenoise.pipeline import block_operator, split_patches
 
     for width, height, patch in RAGGED:
@@ -140,6 +142,9 @@ def section_ragged() -> None:
                 emit(f"{tag}/{kind}.apply_filter",
                      apply_filter(FilterSpec(FilterKind(kind)), L, b_hat).tobytes())
             b = normalize_signal(L, b_hat)
+            for kind in KINDS:
+                spec = FilterSpec(FilterKind(kind))
+                emit(f"{tag}/{kind}.fast", FILTERS[spec.kind].fast(spec, L, b).tobytes())
             for variant in ("cg", "cg0"):
                 _, info = cg_filter(L, b, 3, variant, return_info=True)
                 emit(f"{tag}/{variant}.info",

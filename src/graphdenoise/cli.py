@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from functools import cache, partial
 
@@ -24,6 +25,7 @@ from .oracle import dense_eig, measure_response
 
 _FILTER_CHOICES = [k.value for k in FilterKind]
 _SPECTRAL_PATCH_CAP = 32
+ORACLE_CHECK_TOL = 1e-6   # denoise --check-oracle's bound on each patch's error
 
 
 def _add_filter_flags(p: argparse.ArgumentParser) -> None:
@@ -98,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
-    import os
-
     sc = scene.synth_scene(size=args.size, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     save_image(os.path.join(args.out, "left.pgm"), sc.left)
@@ -110,8 +110,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_warp(args) -> int:
-    import os
-
     # usage errors before any I/O
     if not (math.isfinite(args.scale) and args.scale >= 0):
         raise ValueError("--scale must be finite and >= 0")
@@ -128,8 +126,6 @@ def cmd_warp(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    import os
-
     # usage errors before any I/O
     spec = _filter_spec(args)
     weights = WeightParams(sigma_r=args.sigma_r)
@@ -184,8 +180,7 @@ def cmd_denoise(args) -> int:
     return 0
 
 
-def _verify_against_oracle(noisy, denoised, guide, mask, spec, weights, patch_size,
-                           tol=1e-6) -> None:
+def _verify_against_oracle(noisy, denoised, guide, mask, spec, weights, patch_size) -> None:
     """Cross-check every patch of the denoised image against the dense
     oracle run on that patch's own graph.
 
@@ -207,8 +202,9 @@ def _verify_against_oracle(noisy, denoised, guide, mask, spec, weights, patch_si
             ref = reference(spec, L, b)
             err = (np.max(np.abs(fast_norm[live] - ref[live]))
                    / max(1.0, np.max(np.abs(ref[live]))))
-        if not err <= tol:     # a NaN error fails too
-            raise NumericError(f"oracle check failed on patch {patch}: {err:g} > {tol:g}")
+        if not err <= ORACLE_CHECK_TOL:     # a NaN error fails too
+            raise NumericError(f"oracle check failed on patch {patch}: "
+                               f"{err:g} > {ORACLE_CHECK_TOL:g}")
 
 
 def cmd_psnr(args) -> int:

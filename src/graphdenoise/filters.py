@@ -23,8 +23,8 @@ so cost is O(k (n + edges)) for a degree/iteration budget k:
 ``FILTERS`` maps each ``FilterKind`` to its normalized-domain fast path and
 its dense oracle reference; ``apply_filter`` dispatches through it and owns
 the D^{+-1/2} round trip, read from the operator's own degrees, with the
-input restored at isolated nodes on the way back, so the individual
-filters compose freely.
+input restored at its isolated nodes (``L.isolated``) on the way back, so
+the individual filters compose freely.
 """
 from __future__ import annotations
 
@@ -38,8 +38,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .errors import DimensionMismatchError, NumericError
-from .graph import NormalizedLaplacian, degree_scale
-from .image import _frozen, _integer
+from .graph import NormalizedLaplacian, normalize_signal
+from .image import _frozen, _integer, _real
 from .oracle import (cheb_response, dense_eig, exact_filter, gbjbf_response,
                      krylov_minimize)
 
@@ -78,11 +78,12 @@ class FilterSpec:
     rho: float = 2.0
 
     def __post_init__(self):
-        if not isinstance(self.kind, FilterKind):
-            object.__setattr__(self, "kind", FilterKind(self.kind))
+        object.__setattr__(self, "kind", FilterKind(self.kind))
         if not (_integer(self.k) and 1 <= self.k <= MAX_K):
             raise ValueError(f"k must be an integer in [1, {MAX_K}]")
         object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "l", _real(self.l, "l"))
+        object.__setattr__(self, "rho", _real(self.rho, "rho"))
         if not (0.0 < self.l < 2.0):
             raise ValueError("stop-band start l must lie in (0, 2)")
         if not 0 < self.rho < np.inf:
@@ -106,13 +107,16 @@ class PolyExpansion:
     """Chebyshev-series coefficients c_0..c_k, k >= 1, in the basis
     T_j(lambda - 1) of a transfer function on [0, 2]."""
 
-    k: int
     coeffs: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _frozen(np.asarray(self.coeffs, float)))
-        if self.k < 1 or self.coeffs.shape != (self.k + 1,):
-            raise ValueError("a series needs degree k >= 1 and k + 1 coefficients")
+        if self.coeffs.ndim != 1 or self.coeffs.size < 2:
+            raise ValueError("a series needs a 1-D array of at least 2 coefficients")
+
+    @property
+    def k(self) -> int:
+        return self.coeffs.size - 1
 
     def evaluate(self, lam) -> np.ndarray:
         t = np.asarray(lam, dtype=np.float64) - 1.0
@@ -135,7 +139,7 @@ def chebyshev_series(h, k: int) -> PolyExpansion:
     j = np.arange(k + 1)[:, None]
     c = (2.0 / m) * (np.cos(j * theta[None, :]) @ f)
     c[0] *= 0.5
-    return PolyExpansion(k=k, coeffs=c)
+    return PolyExpansion(c)
 
 
 @functools.lru_cache(maxsize=16, typed=True)
@@ -195,9 +199,9 @@ def poly_filter(L: NormalizedLaplacian, b: np.ndarray, p: PolyExpansion) -> np.n
     live n-vector, faulted more.  T_0 is b, the caller's input, which is
     never written.
 
-    At isolated (degree-0) nodes N is 0, not t = -1, so the recurrence
-    evaluates the series at lambda = 1 there; the result is overwritten
-    with p(0) b, the response at the eigenvalue 0 such a node carries.
+    At isolated nodes N is 0, not t = -1, so the recurrence evaluates the
+    series at lambda = 1 there; ``L.isolated`` is overwritten with p(0) b,
+    the response at the eigenvalue 0 such a node carries.
     """
     b = np.asarray(b, dtype=np.float64)
     N, c = L.off_diagonal, p.coeffs
@@ -211,8 +215,7 @@ def poly_filter(L: NormalizedLaplacian, b: np.ndarray, p: PolyExpansion) -> np.n
         # the product goes into the dying T_{j-1}, but never into b
         acc += np.multiply(c[j], t_next, out=None if t_prev is b else t_prev)
         t_prev, t_cur = t_cur, t_next
-    iso = np.flatnonzero(L.degrees == 0)
-    acc[iso] = p.evaluate(0.0) * b[iso]
+    acc[L.isolated] = p.evaluate(0.0) * b[L.isolated]
     return acc
 
 
@@ -309,11 +312,11 @@ class FilterDef:
     """One filter kind.  Both functions map (spec, L, x) to the filtered
     normalized-domain signal: ``fast`` is the vertex-domain path the
     pipeline runs, ``reference`` the dense oracle it must match.
-    ``check_max_k`` is the largest k at which the two agree to the 1e-6
-    of ``denoise --check-oracle`` on the bundled scene, at the default
-    flags and every patch size the check allows; above it the CG filters
-    and their explicit-Krylov-basis reference part, so a correct run
-    would read as a numeric failure."""
+    ``check_max_k`` is the largest k at which the two agree to the
+    ``cli.ORACLE_CHECK_TOL`` of ``denoise --check-oracle`` on the bundled
+    scene, at the default flags and every patch size the check allows;
+    above it the CG filters and their explicit-Krylov-basis reference
+    part, so a correct run would read as a numeric failure."""
 
     fast: Callable[[FilterSpec, NormalizedLaplacian, np.ndarray], np.ndarray]
     reference: Callable[[FilterSpec, NormalizedLaplacian, np.ndarray], np.ndarray]
@@ -353,31 +356,28 @@ FILTERS: dict[FilterKind, FilterDef] = {
 
 
 def apply_filter(spec: FilterSpec, L: NormalizedLaplacian, b_hat: np.ndarray) -> np.ndarray:
-    """Normalize by L's degrees (x = D^{1/2} b_hat), run the selected
-    filter's fast path, and map its output y back with D^{-1/2}: one
-    multiply in by ``graph.degree_scale``'s s, one divide out by D^{1/2}.
+    """Map b_hat into the normalized domain (``graph.normalize_signal``:
+    x = D^{1/2} b_hat), run the selected filter's fast path, and map its
+    output back by one divide by D^{1/2}.
 
-    Isolated (degree-0: hole or padding) nodes carry no graph
+    Isolated nodes (``L.isolated``: holes and padding) carry no graph
     information: the map back puts the input there bit-identical, for
     every filter kind.  A result that is not finite everywhere raises
     ``NumericError``.
     """
     b_hat = np.asarray(b_hat, dtype=np.float64)
-    if b_hat.shape != (L.n,):
-        raise DimensionMismatchError("signal/operator size mismatch")
-    # x is made in degree_scale's buffer and the divisor D^{1/2} again after
-    # the filter (its 0s at isolated nodes are overwritten below): keeping
-    # s alive through the filter raised `denoise cheb`'s peak at 4096^2 by
-    # 8 B/node, 2018 -> 2146 MB.  x is dropped first so that the divisor
-    # can reuse its memory: with x alive, a filter_sweep frame faulted 633
-    # pages, not 507, and ran 2.4 ms slower (2-core VM, medians of 10 runs).
-    x, isolated = degree_scale(L.degrees)
+    # x is made in normalize_signal's buffer, and the divisor D^{1/2} anew
+    # after the filter (its 0s at isolated nodes are overwritten below): a
+    # D^{1/2} kept alive through the filter raised `denoise cheb`'s peak at
+    # 4096^2 by 8 B/node, 2018 -> 2146 MB.  x is dropped first so that the
+    # divisor can reuse its memory: with x alive, a filter_sweep frame faulted
+    # 633 pages, not 507, and ran 2.4 ms slower (2-core VM, medians of 10 runs).
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x *= b_hat
+        x = normalize_signal(L, b_hat)
         out = FILTERS[spec.kind].fast(spec, L, x)
         del x
         out /= np.sqrt(L.degrees)
-    out[isolated] = b_hat[isolated]
+    out[L.isolated] = b_hat[L.isolated]
     if not np.isfinite(out).all():
         raise NumericError(f"{spec.kind.value} filter output is not finite")
     return out

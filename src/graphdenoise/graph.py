@@ -11,21 +11,20 @@ edges at all.
 
 The filtering substrate is L = I - D^{-1/2} W D^{-1/2}, a sparse symmetric
 positive semi-definite operator with spectrum in [0, 2].  Rows and columns
-of isolated (degree-0) nodes are identically zero.  ``degree_scale``
-gives D^{1/2} with 1.0 at isolated nodes, so the map in is one multiply
-(``normalize_signal``) that leaves isolated coordinates' bits unchanged;
-``filters.apply_filter`` maps the result back by dividing by D^{1/2} and
-restores the input at isolated nodes.
+of isolated nodes, whose degree is not > 0, are identically zero.
+``normalize_signal`` is the one map into the normalized domain, and
+``filters.apply_filter`` maps back by dividing by D^{1/2}.
 
 ``NormalizedLaplacian`` carries the degrees D with L, so it is the one
 object a filter needs: L for the products, D for the D^{+-1/2} round
-trip, and ``off_diagonal``, L without its diagonal, for the polynomial
-filters' recurrence.  An operator may be block diagonal over several
-disjoint graphs, its *segments*, the rows of a (segments, slab) view: the
-image pipeline filters every patch at once this way, and a ``PixelGraph``
-gives one row.  Inner products come one per row (one ``vecdot``, ragged
-rows gathered), so the CG filters' loop (``filters.cg_filter``) keeps one
-step size per graph, broadcast.
+trip, and, each found once on first use, ``isolated``, the isolated
+nodes that every rule about them reads, and ``off_diagonal``, L without
+its diagonal, for the polynomial filters' recurrence.  An operator may
+be block diagonal over several disjoint graphs, its *segments*, the rows
+of a (segments, slab) view: the image pipeline filters every patch at
+once this way, and a ``PixelGraph`` gives one row.  Inner products come
+one per row (one ``vecdot``, ragged rows gathered), so the CG filters'
+loop (``filters.cg_filter``) keeps one step size per graph, broadcast.
 
 ``scipy.sparse`` is imported only where a matrix is assembled
 (``normalized_laplacian``, ``off_diagonal`` and
@@ -41,7 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericError
-from .image import HoleMask, ImageGray, _frozen, check_same_shape
+from .image import HoleMask, ImageGray, _frozen, _real, check_same_shape
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -55,19 +54,19 @@ class WeightParams:
     """Bilateral intensity kernel width.  The spatial factor is constant on
     the 4-connected grid, so sigma_r is the only kernel parameter.
 
-    sigma_r is stored as a Python float, so equal params give bit-identical
-    weights: a float32 sigma_r would otherwise compare equal to its float64
-    value yet scale the weights in float32."""
+    sigma_r follows the real-parameter rule (``image._real``), so equal
+    params give bit-identical weights: a float32 sigma_r would otherwise
+    compare equal to its float64 value yet scale the weights in float32."""
 
     sigma_r: float = 10.0
 
     def __post_init__(self):
+        object.__setattr__(self, "sigma_r", _real(self.sigma_r, "sigma_r"))
         # build_graph scales squared guide differences by 1/(2 sigma_r^2)
         with np.errstate(over="ignore", divide="ignore"):
             scale = 1.0 / (2.0 * np.float64(self.sigma_r) ** 2)
         if not (self.sigma_r > 0 and 0.0 < scale < np.inf):  # rejects inf and NaN too
             raise ValueError("sigma_r must be > 0 with 1/(2 sigma_r^2) finite and nonzero")
-        object.__setattr__(self, "sigma_r", float(self.sigma_r))
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,7 @@ class NormalizedLaplacian:
     """Sparse symmetric operator I - D^{-1/2} W D^{-1/2}.
 
     ``degrees`` are the node degrees D the matrix was built from.
-    Isolated nodes (degree 0) contribute zero rows and columns (their
+    Isolated nodes (``isolated``) contribute zero rows and columns (their
     diagonal is 0, not 1), which keeps the operator PSD with spectrum in
     [0, 2] and makes sqrt(degrees) a null vector.
 
@@ -176,15 +175,19 @@ class NormalizedLaplacian:
     matrix: sp.spmatrix
     degrees: np.ndarray
     segments: tuple = (slice(None),)
-    ragged: tuple = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ragged", tuple(
-            (i, s) for i, s in enumerate(self.segments) if isinstance(s, np.ndarray)))
+    @cached_property
+    def ragged(self) -> tuple:
+        return tuple((i, s) for i, s in enumerate(self.segments) if isinstance(s, np.ndarray))
 
     @property
     def n(self) -> int:
         return self.degrees.size
+
+    @cached_property
+    def isolated(self) -> np.ndarray:
+        """Read-only flat indices of the nodes whose degree is not > 0."""
+        return _frozen(np.flatnonzero(~(self.degrees > 0)))
 
     @cached_property
     def off_diagonal(self) -> NormalizedLaplacian:
@@ -257,24 +260,14 @@ def normalized_laplacian(g: PixelGraph) -> NormalizedLaplacian:
     return NormalizedLaplacian(matrix=m, degrees=deg)
 
 
-def degree_scale(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """s = D^{1/2} with 1.0 at isolated nodes (degree not > 0), and the
-    isolated nodes' indices: x_hat * s is x_hat's normalized form."""
-    s = np.sqrt(degrees)
-    isolated = np.flatnonzero(~(degrees > 0))
-    s[isolated] = 1.0
-    return s, isolated
-
-
-def normalize_signal(g, xhat: np.ndarray) -> np.ndarray:
-    """Vertex-domain signal into the normalized domain: x = D^{1/2} x_hat,
-    one multiply by ``degree_scale``'s s.
-
-    ``g`` is anything with ``degrees`` (an operator or a ``PixelGraph``).
-    Degree-0 coordinates are multiplied by 1.0, which leaves their bits
-    unchanged: they enter the CG filters' per-segment inner products.
-    """
+def normalize_signal(L: NormalizedLaplacian, xhat: np.ndarray) -> np.ndarray:
+    """x = D^{1/2} x_hat by one multiply in the scale's own buffer, with
+    D^{1/2} taken as 1.0 at ``L.isolated``, whose coordinates keep their
+    bits: they enter the CG filters' per-segment inner products."""
     xhat = np.asarray(xhat, dtype=np.float64)
-    if xhat.shape != g.degrees.shape:
-        raise DimensionMismatchError("signal/graph size mismatch")
-    return xhat * degree_scale(g.degrees)[0]
+    if xhat.shape != (L.n,):
+        raise DimensionMismatchError("signal/operator size mismatch")
+    x = np.sqrt(L.degrees)
+    x[L.isolated] = 1.0
+    x *= xhat
+    return x

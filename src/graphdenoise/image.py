@@ -6,6 +6,7 @@ then clamp to [0, 255].  Masks use PBM bit 1 for "hole".
 """
 from __future__ import annotations
 
+import contextlib
 import numbers
 import os
 import re
@@ -27,6 +28,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _integer(v) -> bool:
     """The rule for every integer parameter: numbers.Integral, not bool."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _real(v, name: str) -> float:
+    """The rule for every real parameter: numbers.Real, not bool, as a float."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        with contextlib.suppress(OverflowError):   # an int beyond the float range
+            return float(v)
+    raise ValueError(f"{name} must be a real number, not a bool, in float range, got {v!r}")
 
 
 @dataclass(frozen=True)

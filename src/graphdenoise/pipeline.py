@@ -37,7 +37,7 @@ from .errors import NumericError
 from .filters import FilterKind, FilterSpec, apply_filter
 from .graph import (NormalizedLaplacian, WeightParams, bilateral_weights,
                     build_graph, normalized_laplacian)
-from .image import HoleMask, ImageGray, _frozen, _integer, check_same_shape
+from .image import HoleMask, ImageGray, _frozen, _integer, _real, check_same_shape
 
 # Published PSNR (dB) reported for these graph filters on the standard
 # multiview test sequences (not redistributable, so not reproducible here;
@@ -67,7 +67,8 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+        object.__setattr__(self, "sigma", _real(self.sigma, "sigma"))
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and >= 0")
         if not (_integer(self.seed) and self.seed >= 0):
             raise ValueError("seed must be an integer >= 0")
@@ -343,12 +344,12 @@ class _Problem:
     L: NormalizedLaplacian
     plan: FillPlan
 
-    def serves(self, guide: ImageGray, mask: HoleMask, weights: WeightParams,
-               patch_size: int) -> bool:
+    def serves(self, guide: ImageGray, mask: HoleMask, grid: PatchGrid,
+               weights: WeightParams) -> bool:
         """Whether these inputs pose this problem: the same guide and mask
         objects (whose samples cannot change) and equal parameters."""
         return (all(r() is x for r, x in zip(self.refs, (guide, mask)))
-                and self.weights == weights and self.patch_size == patch_size)
+                and self.weights == weights and self.patch_size == grid.patch_size)
 
 
 _memo: _Problem | None = None
@@ -362,19 +363,19 @@ def _forget(ref: weakref.ref) -> None:
 
 
 def _assemble(guide: ImageGray, mask: HoleMask, grid: PatchGrid,
-              weights: WeightParams, patch_size: int) -> _Problem:
+              weights: WeightParams) -> _Problem:
     """This problem: the memo if it serves these inputs, else assembled and
     memoized in its place."""
     global _memo
     # threads may race on the slot: each call uses the problem it checked or
     # built, so a lost update costs a rebuild, never a wrong operator
     m = _memo
-    if m is not None and m.serves(guide, mask, weights, patch_size):
+    if m is not None and m.serves(guide, mask, grid, weights):
         return m
     # drop the old problem first, so that the call's peak does not hold two
     _memo = m = None
     _memo = m = _Problem(tuple(weakref.ref(x, _forget) for x in (guide, mask)), weights,
-                         patch_size, block_operator(guide, mask, grid, weights),
+                         grid.patch_size, block_operator(guide, mask, grid, weights),
                          fill_plan(mask))
     return m
 
@@ -390,8 +391,8 @@ def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec
     The operator and the mask's fill plan are made once per problem (see the
     module docstring): a call with the same guide and mask objects, weights
     and patch size as the one before reuses them, whatever its noisy image.
-    They keep about 48 B/pixel (DIA data and degrees) plus 16 B per fillable
-    hole alive until the guide or the mask dies or another problem comes."""
+    They keep about 48 B/pixel, 16 B per fillable hole and 8 B per isolated
+    node alive until the guide or the mask dies or another problem comes."""
     if not (_integer(workers) and workers >= 1):
         raise ValueError("workers must be an integer >= 1")
     check_same_shape(noisy, guide, "noisy/guide")
@@ -402,7 +403,7 @@ def denoise(noisy: ImageGray, guide: ImageGray, mask: HoleMask, spec: FilterSpec
     import scipy.sparse  # noqa: F401
     t0 = time.perf_counter()
     b = grid.to_nodes(noisy.to_array(), 0.0)
-    m = _assemble(guide, mask, grid, weights, patch_size)
+    m = _assemble(guide, mask, grid, weights)
     filtered = ImageGray._own(grid.from_nodes(apply_filter(spec, m.L, b)))
     filter_seconds = time.perf_counter() - t0
     filled = median_fill(filtered, mask, m.plan)

@@ -12,7 +12,7 @@ from graphdenoise import (DimensionMismatchError, FilterKind, FilterSpec, HoleMa
                           dense_eig, exact_filter, gbjbf_degree, jbf,
                           krylov_minimize, normalize_signal, normalized_laplacian,
                           poly_expand_gbjbf, poly_filter, quadratic_objective)
-from graphdenoise.filters import FILTERS, MAX_K, PolyExpansion, chebyshev_series
+from graphdenoise.filters import FILTERS, MAX_K, FilterDef, PolyExpansion, chebyshev_series
 from graphdenoise.oracle import cheb_response, gbjbf_response
 from graphdenoise.pipeline import block_operator, patch_operator, split_patches
 
@@ -199,20 +199,22 @@ class TestPolyFilter:
     def test_constant_series_returns_input(self, rng):
         g, L = random_guide_patch(rng, 5, 5)
         b = rng.normal(0, 1, g.n_nodes)
-        p = PolyExpansion(k=1, coeffs=np.array([1.0, 0.0]))
+        p = PolyExpansion(np.array([1.0, 0.0]))
         np.testing.assert_array_equal(poly_filter(L, b, p), b)
 
     def test_first_order_term_is_l_minus_identity(self, rng):
         g, L = random_guide_patch(rng, 5, 5)
         b = rng.normal(0, 1, g.n_nodes)
-        p = PolyExpansion(k=1, coeffs=np.array([0.0, 1.0]))
+        p = PolyExpansion(np.array([0.0, 1.0]))
         np.testing.assert_allclose(poly_filter(L, b, p),
                                    L.apply(b) - b, atol=1e-14)
 
-    @pytest.mark.parametrize("k, coeffs", [(0, [1.0]), (1, [1.0]), (2, [1.0, 0.0])])
-    def test_degree_and_coefficients_must_agree(self, k, coeffs):
-        with pytest.raises(ValueError):
-            PolyExpansion(k=k, coeffs=np.array(coeffs))
+    @pytest.mark.parametrize("coeffs", [[], [1.0], [[1.0, 0.0]]],
+                             ids=["none", "one", "2-D"])
+    def test_a_series_needs_two_coefficients_in_one_dimension(self, coeffs):
+        with pytest.raises(ValueError, match="coefficients"):
+            PolyExpansion(np.array(coeffs))
+        assert PolyExpansion(np.array([1.0, 0.0, 0.5])).k == 2
 
     def test_writes_no_input(self, rng):
         # the recurrence steps in place, on arrays it allocated itself, and
@@ -248,7 +250,7 @@ class TestPolyFilter:
 
             def __init__(self, inner, calls):
                 self.inner, self.calls = inner, calls
-                self.n, self.degrees = inner.n, inner.degrees
+                self.n, self.degrees, self.isolated = inner.n, inner.degrees, inner.isolated
 
             @property
             def off_diagonal(self):
@@ -541,8 +543,9 @@ def filtered_bytes(apply, spec, L, b_hat):
         return NumericError
 
 
-def ragged_case(seed, width, height, patch, sigma_r, special):
-    """A block operator on a ragged tiling with holes, and a signal with
+def ragged_case(seed, width, height, patch, sigma_r, special, csr=False):
+    """A block operator on a ragged tiling with holes, or with ``csr`` the
+    CSR operator of the whole image as one patch, and a signal with
     ``special`` at about half of its isolated nodes.  sigma_r 1e-3
     underflows every weight between unequal guide levels, so non-hole
     nodes have degree 0 too; the first tile is all holes."""
@@ -551,9 +554,14 @@ def ragged_case(seed, width, height, patch, sigma_r, special):
     holes = r.random((height, width)) < r.uniform(0.0, 0.5)
     holes[:patch, :patch] = True
     mask = HoleMask.from_array(holes)
-    grid = split_patches(guide, patch)
-    L = block_operator(guide, mask, grid, WeightParams(sigma_r=sigma_r))
-    b_hat = grid.to_nodes(r.uniform(0.0, 255.0, (height, width)), 0.0)
+    grid, weights = split_patches(guide, patch), WeightParams(sigma_r=sigma_r)
+    image = r.uniform(0.0, 255.0, (height, width))
+    if csr:
+        L = normalized_laplacian(build_graph(guide, mask, weights))
+        b_hat = image.ravel()
+    else:
+        L = block_operator(guide, mask, grid, weights)
+        b_hat = grid.to_nodes(image, 0.0)
     iso = np.flatnonzero(L.degrees == 0)
     b_hat[iso[r.random(iso.size) < 0.5]] = special
     return L, b_hat
@@ -562,6 +570,73 @@ def ragged_case(seed, width, height, patch, sigma_r, special):
 RAGGED_CASES = dict(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 40),
                     height=st.integers(1, 40), patch=st.sampled_from([8, 16]),
                     sigma_r=st.sampled_from([10.0, 1.0, 1e-3]))
+
+
+def degree_scale(degrees):
+    """``graph.degree_scale`` before ``NormalizedLaplacian.isolated``
+    replaced it, kept verbatim."""
+    s = np.sqrt(degrees)
+    isolated = np.flatnonzero(~(degrees > 0))
+    s[isolated] = 1.0
+    return s, isolated
+
+
+def normalize_signal_by_degree_scale(g, xhat: np.ndarray) -> np.ndarray:
+    """``graph.normalize_signal`` as it was while it multiplied by
+    ``degree_scale``'s s, kept verbatim."""
+    xhat = np.asarray(xhat, dtype=np.float64)
+    if xhat.shape != g.degrees.shape:
+        raise DimensionMismatchError("signal/graph size mismatch")
+    return xhat * degree_scale(g.degrees)[0]
+
+
+class TestIsolatedNodes:
+    # block operators on ragged tilings with an all-hole first tile, 1-wide
+    # and 1-high images among them, and CSR operators of whole images
+    @example(seed=0, width=1, height=30, patch=8, sigma_r=10.0, csr=False)
+    @example(seed=1, width=30, height=1, patch=16, sigma_r=1e-3, csr=False)
+    @example(seed=2, width=1, height=1, patch=8, sigma_r=10.0, csr=False)
+    @example(seed=3, width=17, height=11, patch=8, sigma_r=10.0, csr=True)
+    @given(**RAGGED_CASES, csr=st.booleans())
+    def test_found_once_by_the_degree_rule(self, seed, width, height, patch, sigma_r,
+                                           csr):
+        L, _ = ragged_case(seed, width, height, patch, sigma_r, 0.0, csr)
+        iso = L.isolated
+        assert iso.tobytes() == np.flatnonzero(~(L.degrees > 0)).tobytes()
+        assert iso.dtype == np.intp and not iso.flags.writeable
+        assert L.isolated is iso
+
+    @example(seed=0, width=1, height=30, patch=8, sigma_r=1e-3, csr=False,
+             special=math.nan)
+    @example(seed=3, width=17, height=11, patch=8, sigma_r=10.0, csr=True,
+             special=-0.0)
+    @given(**RAGGED_CASES, csr=st.booleans(),
+           special=st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308]))
+    def test_normalize_signal_matches_the_degree_scale_version(
+            self, seed, width, height, patch, sigma_r, csr, special):
+        L, b_hat = ragged_case(seed, width, height, patch, sigma_r, special, csr)
+        b_hat[::7] = special    # live nodes too
+        with np.errstate(over="ignore"):
+            assert (normalize_signal(L, b_hat).tobytes()
+                    == normalize_signal_by_degree_scale(L, b_hat).tobytes())
+
+    @example(seed=1, width=30, height=1, patch=16, sigma_r=1e-3, csr=False)
+    @example(seed=3, width=17, height=11, patch=8, sigma_r=10.0, csr=True)
+    @given(**RAGGED_CASES, csr=st.booleans())
+    def test_apply_filter_restores_the_input_at_exactly_these_nodes(
+            self, seed, width, height, patch, sigma_r, csr):
+        L, b_hat = ragged_case(seed, width, height, patch, sigma_r, 0.0, csr)
+        b_hat = np.abs(b_hat) + 1.0
+        # a fast path of zeros maps back to 0 on live nodes, so the nonzero
+        # outputs are the restored ones
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(FILTERS, FilterKind.JBF, FilterDef(
+                fast=lambda spec, L, x: np.zeros_like(x), reference=None))
+            out = apply_filter(FilterSpec(FilterKind.JBF), L, b_hat)
+        assert np.flatnonzero(out).tobytes() == L.isolated.tobytes()
+        for kind in FilterKind:
+            out = apply_filter(FilterSpec(kind), L, b_hat)
+            assert out[L.isolated].tobytes() == b_hat[L.isolated].tobytes()
 
 
 class TestApplyFilter:
@@ -602,7 +677,7 @@ class TestApplyFilter:
         b_hat = rng.uniform(0, 255, g.n_nodes)
         spec = FilterSpec(FilterKind.K_CHEB, k=1, l=0.5)
         via_spec = apply_filter(spec, L, b_hat)
-        x = normalize_signal(g, b_hat)
+        x = normalize_signal(L, b_hat)
         direct = poly_filter(L, x, cheb_design(1, 0.5))
         np.testing.assert_array_equal(via_spec, denormalize_signal(g, direct))
 
@@ -611,7 +686,7 @@ class TestApplyFilter:
         b_hat = rng.uniform(0, 255, g.n_nodes)
         out = apply_filter(FilterSpec(FilterKind.GBJBF, rho=2.0), L, b_hat)
         series = poly_expand_gbjbf(gbjbf_degree(2.0), 2.0)
-        ref = denormalize_signal(g, poly_filter(L, normalize_signal(g, b_hat), series))
+        ref = denormalize_signal(g, poly_filter(L, normalize_signal(L, b_hat), series))
         np.testing.assert_array_equal(out, ref)
 
     @pytest.mark.parametrize("kind", list(FilterKind))

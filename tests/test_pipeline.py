@@ -710,3 +710,33 @@ def test_integer_parameters_reject_bools_and_fractions(call, value):
 def test_filter_spec_stores_k_as_an_int():
     spec = FilterSpec(FilterKind.K_CHEB, k=np.int64(4))
     assert type(spec.k) is int and spec == FilterSpec(FilterKind.K_CHEB, k=4)
+
+
+@pytest.mark.parametrize("call, read", [
+    pytest.param(lambda v: FilterSpec(FilterKind.K_CHEB, l=v), lambda s: s.l,
+                 id="FilterSpec-l"),
+    pytest.param(lambda v: FilterSpec(FilterKind.K_POLY, rho=v), lambda s: s.rho,
+                 id="FilterSpec-rho"),
+    pytest.param(lambda v: NoiseSpec(v, 0), lambda s: s.sigma, id="NoiseSpec-sigma"),
+    pytest.param(lambda v: WeightParams(v), lambda s: s.sigma_r,
+                 id="WeightParams-sigma_r")])
+@pytest.mark.parametrize("value", [True, "1.0", 10**400, np.float32(0.7), np.int64(1)],
+                         ids=["bool", "str", "huge-int", "float32", "int64"])
+def test_real_parameters_reject_bools_and_store_floats(call, read, value):
+    """One rule for every real parameter: numbers.Real, not bool, and in
+    float range, kept as the Python float it is computed with."""
+    if type(value) in (bool, str, int):   # int: 10**400 here
+        with pytest.raises(ValueError, match="real number"):
+            call(value)
+    else:
+        stored = read(call(value))
+        assert type(stored) is float and stored == float(value)
+
+
+def test_report_prints_the_rho_the_series_runs_at():
+    # np.float32(2.1) is 2.0999999046325684 as a float
+    spec = FilterSpec(FilterKind.K_POLY, rho=np.float32(2.1))
+    _, report = denoise(_ZEROS, _ZEROS, HoleMask.all_false(8, 8), spec, WeightParams(),
+                        patch_size=8)
+    assert "rho,2.0999999046325684\n" in report.to_csv()
+    assert spec == FilterSpec(FilterKind.K_POLY, rho=float(np.float32(2.1)))

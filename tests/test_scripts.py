@@ -57,7 +57,7 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     # workloads: 3 workloads x 2 seeds x 6 filters x (float64, 8-bit, fresh,
     #            renoise);
     # ragged: 4 tilings x 2 sigma_r x (6 filters x (float64, 8-bit)
-    #         + the operator + 6 apply_filter + 2 CGInfo);
+    #         + the operator + 6 apply_filter + 6 fast paths + 2 CGInfo);
     # scene: 4 (size, seed) pairs x (left, left.u8, right, right.u8, depth);
     # warp: (2 ramp seeds x 2 directions + 2 scene directions)
     #       x (guide, mask, phase counts), each guide followed by its 8-bit
@@ -65,7 +65,7 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     assert sum(n.startswith("workloads/") for n in names) == 3 * 2 * 6 * 4
     assert {n.split("/")[1] for n in names if n.startswith("workloads/")} == \
         {"cli_chain", "filter_sweep", "ramp_disparity"}
-    assert sum(n.startswith("ragged/") for n in names) == 4 * 2 * 21
+    assert sum(n.startswith("ragged/") for n in names) == 4 * 2 * 27
     # each float64 denoise output is followed by its 8-bit line
     denoised = [n for n in names if n.startswith(("workloads/", "ragged/"))
                 and n.rsplit("/", 1)[1] in {kind.value for kind in FilterKind}]
@@ -84,6 +84,7 @@ def test_fingerprint_prints_one_hash_per_output(tmp_path, monkeypatch, capsys):
     assert sum(n.endswith(".renoise") for n in names) == len(fresh)
     assert sum(n.endswith("/operator") for n in names) == 4 * 2
     assert sum(n.endswith(".apply_filter") for n in names) == 4 * 2 * 6
+    assert sum(n.endswith(".fast") for n in names) == 4 * 2 * 6
     assert [n for n in names if n.startswith("scene/")] == [
         f"scene/{case}/{out}"
         for case in ("64s2014", "100s3", "257s11", "1000s2014")
