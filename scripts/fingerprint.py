@@ -22,8 +22,12 @@ One ``name sha256`` line per output, in a fixed order:
   all four quarter-pel phases) in both directions (the left view warped
   left to right, the right view right to left, where nearly every
   background pixel has a deeper pixel within the occlusion band) and on
-  the bundled 256x256 scene in both directions, each guide followed by its
-  ``.u8`` line;
+  the bundled 256x256 scene's left view in both directions, under its own
+  depth, under seeded uniform-noise depth (nearly every pixel a candidate
+  of the occlusion test) and under rows that rise away from the side a
+  cover comes from, except for a few step rows (so the steps, not the
+  map's range, set the shifts tested), each guide followed by its ``.u8``
+  line;
 * ``fill``: ``median_fill`` on seeded images whose few distinct values
   make ties of 0.0 and -0.0 common, with and without NaN samples, at
   three hole densities, including 1-pixel-wide and 1-pixel-tall images;
@@ -163,9 +167,10 @@ def section_scene() -> None:
 
 
 def section_warp() -> None:
+    import numpy as np
     import workloads
 
-    from graphdenoise import WarpParams, synth_scene, warp_guide
+    from graphdenoise import DepthMap, WarpParams, synth_scene, warp_guide
 
     cases = []
     for seed in SEEDS:
@@ -173,8 +178,21 @@ def section_warp() -> None:
         for direction, source in (("left_to_right", left), ("right_to_left", right)):
             cases.append((f"ramp/seed{seed}/{direction}", source, depth, direction))
     scene = synth_scene(size=256)
-    for direction in ("left_to_right", "right_to_left"):
-        cases.append((f"scene256/{direction}", scene.left, scene.depth, direction))
+    rng = np.random.default_rng(256)
+    # nearly every pixel a candidate of the occlusion test
+    noise = DepthMap.from_array(rng.uniform(0.0, 16.0, (256, 256)))
+    # rows rising to the right on bases far apart, so no row has a drop
+    # left to right; then a step down of 1 to 3 px in every 32nd row
+    rows = np.cumsum(rng.uniform(0.0, 0.05, (256, 256)), axis=1)
+    rows += rng.uniform(3.0, 11.0, (256, 1))
+    for row in range(0, 256, 32):
+        rows[row, rng.integers(1, 256):] -= rng.uniform(1.0, 3.0)
+    # mirrored for right_to_left, whose covers come from the right
+    rising = (DepthMap.from_array(rows), DepthMap.from_array(rows[:, ::-1]))
+    for tag, depths in (("scene256", (scene.depth, scene.depth)),
+                        ("noise256", (noise, noise)), ("monotone256", rising)):
+        for direction, depth in zip(("left_to_right", "right_to_left"), depths):
+            cases.append((f"{tag}/{direction}", scene.left, depth, direction))
     for tag, source, depth, direction in cases:
         r = warp_guide(source, depth, WarpParams(direction))
         emit_image(f"warp/{tag}/guide", r.guide)

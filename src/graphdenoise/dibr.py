@@ -19,24 +19,24 @@ occlusion.
 Pixel j covers pixel i of its row when |u'_j - u'_i| <= 0.75 and
 d_j - d_i > 1.  Left to right (u' = u + d), u'_j - u'_i = (j - i) +
 (d_j - d_i) exceeds 2 when j > i, so only a pixel left of i can cover it;
-right to left, only one to its right.  A row's largest drop D, the largest
-d_j - d_i with j on that side of i, bounds every fl(d_j - d_i) of the row
-(floating-point subtraction is monotone).  A row with D <= 1 has no cover;
-in the others a cover needs |j - i| <= D + 0.75, so |j - i| <= ceil(D)
-(position rounding, relevant only for pixels that land in the image, is far
-below the 0.25 to spare).  Testing one column shift at a time on the rows
-with D > 1, up to band = ceil of their largest D, is therefore exact.
+right to left, only one to its right.  A cover needs |j - i| <=
+d_j - d_i + 0.75, so |j - i| <= ceil(fl(d_j - d_i)) (position rounding,
+relevant only for pixels that land in the image, is far below the 0.25 to
+spare).  Floating-point subtraction is monotone, so no fl(d_j - d_i)
+exceeds the map's range fl(max d - min d): a range <= 1 leaves no cover,
+and none lies more than window = min(w - 1, ceil(range)) columns away.
 
-Two more restrictions keep it exact.  With j on the cover side of i and at
-most band columns away, fl(max_j d_j - d_i) = max_j fl(d_j - d_i), again
-by monotone subtraction, so only a candidate, a pixel i with
-fl(max_j d_j - d_i) > 1, can be covered; the window maxima take
-ceil(log2 band) passes of doubling.  Every pixel a candidate's cover can
-come from lies at most band columns past it, so the shifts are tested only
-on the rows with a candidate, from their first candidate column to band
-columns past their last; a pixel in that span that is not a candidate
-passes no test.  The test runs column-major, so that a column shift moves
-whole rows of memory, with the same two comparisons on the same values.
+Two bounds within that window keep the test exact.  With j on the cover
+side of i and at most window columns away, fl(max_j d_j - d_i) =
+max_j fl(d_j - d_i), again by monotone subtraction, so only a candidate,
+a pixel i with fl(max_j d_j - d_i) > 1, can be covered; the window maxima
+take ceil(log2 window) passes of doubling.  The largest of these windowed
+drops bounds every cover's fl(d_j - d_i), so the column shifts are tested
+one at a time up to band = its ceiling, and only on the rows with a
+candidate, from their first candidate column to band columns past their
+last; a pixel in that span that is not a candidate passes no test.  The
+test runs column-major, so that a column shift moves whole rows of memory,
+with the same two comparisons on the same values.
 
 Hole pixels are excluded from graph construction entirely; after filtering
 they are patched by a 3x3 median over their available non-hole neighbors.
@@ -163,30 +163,26 @@ def _quantize_quarter(u: np.ndarray) -> np.ndarray:
 def _mark_covered(hole: np.ndarray, up: np.ndarray, d: np.ndarray,
                   left_to_right: bool) -> None:
     """Add to hole every pixel that another pixel of its row covers: the
-    z-ordering test on the unquantized positions up, one column shift at a
-    time up to the band, the largest drop's ceiling.  It runs only where a
-    cover can land: on the rows with a candidate (a pixel with a disparity
-    more than 1 larger within the band on the cover side), from their first
-    candidate column to band columns past their last (module docstring)."""
+    z-ordering test on the unquantized positions up, by window maxima over
+    the map's range for the candidates, then one column shift at a time up
+    to the band, the largest windowed drop's ceiling, on the rows with a
+    candidate and their column span (module docstring)."""
+    spread = d.max() - d.min()
+    if spread <= OCCLUSION_DISPARITY_STEP_PX:
+        return
     # flip a left-to-right warp so that every cover comes from a later column
     flip = slice(None, None, -1 if left_to_right else 1)
     d, up, hole = d[:, flip], up[:, flip], hole[:, flip]
-    # each row's largest drop, max_j d[j] - min(d[:j]) (0 if w = 1), in one buffer
-    buf = np.minimum.accumulate(d, axis=1)
-    drops = np.subtract(d[:, 1:], buf[:, :-1], out=buf[:, :-1]).max(axis=1, initial=0.0)
-    rows = np.flatnonzero(drops > OCCLUSION_DISPARITY_STEP_PX)
-    if not rows.size:
-        return
     w = d.shape[1]
-    band = min(w - 1, int(np.ceil(drops[rows].max())))
+    window = min(w - 1, int(np.ceil(spread)))
     # from here on column-major, so that a column shift moves whole rows of
-    # memory: column c of the selected rows is dt[c]
-    dt = d[rows].T.copy()
-    # the candidates: top[c] = max(dt[c + 1 : c + 1 + band]), its window
-    # doubled in place until it is band columns long
+    # memory: column c is dt[c]
+    dt = d.T.copy()
+    # the candidates: top[c] = max(dt[c + 1 : c + 1 + window]), its window
+    # doubled in place until it is window columns long
     top, reach = dt[1:].copy(), 1
-    while reach < band:
-        step = min(reach, band - reach)
+    while reach < window:
+        step = min(reach, window - reach)
         np.maximum(top[:-step], top[step:], out=top[:-step])
         reach += step
     top -= dt[:-1]
@@ -194,11 +190,12 @@ def _mark_covered(hole: np.ndarray, up: np.ndarray, d: np.ndarray,
     hit = candidate.any(axis=0)
     if not hit.any():
         return
+    band = min(window, int(np.ceil(top.max())))
     # the rows with a candidate, from their first candidate column to band
     # columns past their last
     cols = np.flatnonzero(candidate.any(axis=1))
     span = slice(cols[0], min(w, cols[-1] + 1 + band))
-    rows, dt = rows[hit], dt[span][:, hit]
+    rows, dt = np.flatnonzero(hit), dt[span][:, hit]
     ut, covered = up[rows, span].T.copy(), hole[rows, span].T.copy()
     for s in range(1, min(band, len(covered) - 1) + 1):
         near = ut[s:] - ut[:-s]

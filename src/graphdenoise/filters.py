@@ -173,6 +173,7 @@ def gbjbf_degree(rho: float) -> int:
     C r^(K+1) / (1 - r).  Every step is free of overflow and cancellation
     for any finite rho > 0, so the degree is finite (and huge for huge rho).
     """
+    rho = _real(rho, "rho")
     if not 0 < rho < math.inf:
         raise ValueError("rho must be finite and > 0")
     s = 1.0 / math.sqrt(rho)

@@ -38,6 +38,16 @@ def _real(v, name: str) -> float:
     raise ValueError(f"{name} must be a real number, not a bool, in float range, got {v!r}")
 
 
+def _check_size(obj) -> None:
+    """The rule for a grid's width and height: integers (``_integer``) >= 1."""
+    for dim in ("width", "height"):
+        v = getattr(obj, dim)
+        if not (_integer(v) and v >= 1):
+            raise DimensionMismatchError(
+                f"{type(obj).__name__} {dim} must be an integer >= 1, got {v!r}")
+        object.__setattr__(obj, dim, int(v))
+
+
 @dataclass(frozen=True)
 class _Raster:
     """A width x height grid with one value per pixel, stored row-major in
@@ -55,14 +65,7 @@ class _Raster:
     _dtype: ClassVar[type]
 
     def __post_init__(self):
-        name = type(self).__name__
-        for dim in ("width", "height"):
-            v = getattr(self, dim)
-            if not _integer(v):
-                raise DimensionMismatchError(f"{name} {dim} must be an integer, got {v!r}")
-            object.__setattr__(self, dim, int(v))
-        if self.width < 1 or self.height < 1:
-            raise DimensionMismatchError(f"{name} dimensions must be >= 1")
+        _check_size(self)
         a = getattr(self, self._field)
         a = (np.asarray(a.array, self._dtype) if isinstance(a, _Fresh)
              else np.array(a, dtype=self._dtype))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericError
 from .graph import NormalizedLaplacian
-from .image import _frozen, _integer, atomic_write_bytes
+from .image import _frozen, _integer, _real, atomic_write_bytes
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,7 @@ def exact_filter(eig: EigenDecomposition, h: Callable[[np.ndarray], np.ndarray],
 def gbjbf_response(rho: float):
     """The closed-form low-pass transfer function 1 / (1 + rho * lambda^2),
     0 where rho * lambda^2 overflows."""
+    rho = _real(rho, "rho")
     def h(lam):
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + rho * np.asarray(lam) ** 2)
@@ -93,6 +94,7 @@ def cheb_response(k: int, l: float):
     """
     if not (_integer(k) and k >= 1):
         raise ValueError("k must be an integer >= 1")
+    l = _real(l, "l")
     if not (0.0 < l < 2.0):
         raise ValueError("stop-band start l must lie in (0, 2)")
     i = np.arange(1, k + 1, dtype=np.float64)

@@ -37,7 +37,7 @@ from .errors import NumericError
 from .filters import FilterKind, FilterSpec, apply_filter
 from .graph import (NormalizedLaplacian, WeightParams, bilateral_weights,
                     build_graph, normalized_laplacian)
-from .image import HoleMask, ImageGray, _frozen, _integer, _real, check_same_shape
+from .image import HoleMask, ImageGray, _check_size, _frozen, _integer, _real, check_same_shape
 
 # Published PSNR (dB) reported for these graph filters on the standard
 # multiview test sequences (not redistributable, so not reproducible here;
@@ -109,6 +109,7 @@ class PatchGrid:
     patches: tuple = field(init=False)
 
     def __post_init__(self):
+        _check_size(self)
         if not (_integer(self.patch_size) and self.patch_size >= MIN_PATCH_SIZE):
             raise ValueError(f"patch_size must be an integer >= {MIN_PATCH_SIZE}")
         tiles = []
@@ -302,11 +303,7 @@ class DenoiseReport:
 
 
 def _fmt_value(v) -> str:
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf"
-        return format(v, ".17g")
-    return str(v)
+    return format(v, ".17g") if isinstance(v, float) else str(v)   # +inf prints as "inf"
 
 
 def reference_comparison(results_db: dict) -> str:

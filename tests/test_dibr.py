@@ -168,7 +168,7 @@ class TestWarpGuide:
     @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 64),
            height=st.integers(1, 5), integer_source=st.booleans(),
            spread=st.sampled_from(["zero", "small", "wide", "layered", "rows",
-                                   "islands"]),
+                                   "islands", "monotone"]),
            direction=st.sampled_from(["left_to_right", "right_to_left"]))
     # the widest possible cover: pixel 0 covers pixel w - 1, or the reverse
     @example(seed=0, width=10, height=1, integer_source=False, spread="edge",
@@ -183,12 +183,35 @@ class TestWarpGuide:
              direction="left_to_right")
     @example(seed=2, width=40, height=3, integer_source=False, spread="islands",
              direction="right_to_left")
+    # no row has a drop, and the steps of a few rows, not the map's wide
+    # range, set the band: 3 shifts in a window of 31 columns
+    @example(seed=3, width=40, height=3, integer_source=False, spread="monotone",
+             direction="left_to_right")
+    @example(seed=3, width=40, height=3, integer_source=False, spread="monotone",
+             direction="right_to_left")
+    # 1 wide: the rows' disparities lie more than 1 px apart, so the range
+    # exceeds 1 px, but the window is 0 columns and no cover can exist
+    @example(seed=52, width=1, height=3, integer_source=False, spread="small",
+             direction="left_to_right")
+    @example(seed=25, width=1, height=4, integer_source=False, spread="wide",
+             direction="right_to_left")
+    @example(seed=31, width=1, height=2, integer_source=True, spread="layered",
+             direction="right_to_left")
+    # 2 wide, one cover in each direction
+    @example(seed=13, width=2, height=3, integer_source=False, spread="small",
+             direction="left_to_right")
+    @example(seed=9, width=2, height=3, integer_source=False, spread="small",
+             direction="right_to_left")
+    @example(seed=43, width=2, height=3, integer_source=True, spread="layered",
+             direction="left_to_right")
+    @example(seed=43, width=2, height=3, integer_source=True, spread="layered",
+             direction="right_to_left")
     def test_matches_per_row_loop_bitwise(self, seed, width, height, integer_source,
                                           spread, direction):
         if spread == "rows":
             height += 4  # room for every row kind
-        elif spread == "islands":
-            height += 2  # room for rows with and without islands
+        elif spread in ("islands", "monotone"):
+            height += 2  # room for rows with and without islands or steps
         r = np.random.default_rng(seed)
         src = r.uniform(0, 255, (height, width))
         if integer_source:
@@ -208,9 +231,11 @@ class TestWarpGuide:
             disp = _mixed_rows(r, height, width, direction)
         elif spread == "islands":
             disp = _islands(r, height, width)
+        elif spread == "monotone":
+            disp = _monotone_rows(r, height, width, direction)
         else:
             disp = r.uniform(0.0, 3.0 if spread == "small" else 2.5 * width + 10.0, shape)
-        if spread != "rows":
+        if spread not in ("rows", "monotone"):
             # quarter-pel steps plus offsets that round either way, so every
             # phase, tie and occlusion edge case comes up
             disp = np.where(r.random(shape) < 0.5, np.round(4 * disp) / 4, disp)
@@ -302,6 +327,19 @@ def _mixed_rows(r, height, width, direction) -> np.ndarray:
     rows = np.stack([kinds[k] for k in r.permutation(np.arange(height) % 5)])
     # kinds are written for left_to_right; a mirrored row serves right_to_left
     return rows if direction == "left_to_right" else rows[:, ::-1].copy()
+
+
+def _monotone_rows(r, height, width, direction) -> np.ndarray:
+    """Rows that rise away from the side a cover comes from, so that no row
+    has a drop, on bases far apart, so that the map's range is wide; then,
+    in about half of the rows, a step down of 1 to 3 px at a random column,
+    so that the candidates, not the range, set the band of shifts tested."""
+    rise = np.cumsum(r.uniform(0.0, 0.5, (height, width)), axis=1)
+    disp = rise + r.uniform(3.0, width + 3.0, (height, 1))
+    for row in np.flatnonzero(r.random(height) < 0.5):
+        disp[row, r.integers(1, max(width, 2)):] -= r.uniform(1.0, 3.0)
+    # written for left_to_right; a mirrored map serves right_to_left
+    return disp if direction == "left_to_right" else disp[:, ::-1].copy()
 
 
 def _islands(r, height, width) -> np.ndarray:

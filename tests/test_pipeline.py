@@ -19,7 +19,8 @@ from graphdenoise import (DimensionMismatchError, FilterKind, FilterSpec,
                           pipeline, psnr, split_patches, synth_scene)
 from graphdenoise.graph import NormalizedLaplacian
 from graphdenoise.image import _frozen, check_same_shape
-from graphdenoise.oracle import cheb_response
+from graphdenoise.filters import cheb_design, gbjbf_degree, poly_expand_gbjbf
+from graphdenoise.oracle import cheb_response, gbjbf_response
 from graphdenoise.pipeline import (PatchGrid, block_operator, extract_patch,
                                    patch_operator)
 
@@ -196,6 +197,17 @@ class TestPatches:
 
     def test_numpy_integer_patch_size_is_the_same_grid(self):
         assert PatchGrid(40, 30, np.int64(16)) == PatchGrid(40, 30, 16)
+
+    @pytest.mark.parametrize("width,height", [(0, 5), (-3, 5), (5, 0), (True, 5),
+                                              (5.5, 5), (5, np.float64(5.0)), (5, "5")])
+    def test_dimensions_follow_the_raster_rule(self, width, height):
+        with pytest.raises(DimensionMismatchError, match="integer >= 1"):
+            PatchGrid(width, height, 8)
+
+    def test_numpy_integer_dimensions_are_stored_as_ints(self):
+        grid = PatchGrid(np.int64(40), np.uint8(30), 16)
+        assert type(grid.width) is int and type(grid.height) is int
+        assert grid == PatchGrid(40, 30, 16)
 
     # one-row and one-column images, images smaller than the patch, whole
     # and ragged tilings
@@ -733,6 +745,29 @@ def test_real_parameters_reject_bools_and_store_floats(call, read, value):
         assert type(stored) is float and stored == float(value)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda v: cheb_response(3, v), id="cheb_response-l"),
+    pytest.param(lambda v: cheb_design(3, v), id="cheb_design-l"),
+    pytest.param(gbjbf_response, id="gbjbf_response-rho"),
+    pytest.param(gbjbf_degree, id="gbjbf_degree-rho"),
+    pytest.param(lambda v: poly_expand_gbjbf(3, v), id="poly_expand_gbjbf-rho")])
+@pytest.mark.parametrize("value", [True, "0.5", 10**400], ids=["bool", "str", "huge-int"])
+def test_series_designs_apply_the_real_parameter_rule(call, value):
+    """The rule holds at the designs' own entry points, not only through
+    FilterSpec."""
+    with pytest.raises(ValueError, match="real number"):
+        call(value)
+
+
+def test_series_designs_compute_with_the_float_of_a_numpy_real():
+    assert gbjbf_degree(np.float32(2.0)) == gbjbf_degree(np.int64(2)) == gbjbf_degree(2.0)
+    for got, want in ((cheb_design(3, np.float32(0.5)), cheb_design(3, 0.5)),
+                      (poly_expand_gbjbf(3, np.int64(2)), poly_expand_gbjbf(3, 2.0))):
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    lam = np.linspace(0.0, 2.0, 9)
+    assert gbjbf_response(np.float32(2.0))(lam).tobytes() == gbjbf_response(2.0)(lam).tobytes()
+
+
 def test_report_prints_the_rho_the_series_runs_at():
     # np.float32(2.1) is 2.0999999046325684 as a float
     spec = FilterSpec(FilterKind.K_POLY, rho=np.float32(2.1))
@@ -740,3 +775,11 @@ def test_report_prints_the_rho_the_series_runs_at():
                         patch_size=8)
     assert "rho,2.0999999046325684\n" in report.to_csv()
     assert spec == FilterSpec(FilterKind.K_POLY, rho=float(np.float32(2.1)))
+
+
+def test_report_prints_an_infinite_psnr_as_inf():
+    # a clean reference equal to the denoised image: the MSE is 0
+    out, report = denoise(_ZEROS, _ZEROS, HoleMask.all_false(8, 8), FilterSpec(FilterKind.JBF),
+                          WeightParams(), patch_size=8)
+    report.psnr_noisy_db = report.psnr_denoised_db = psnr(out, _ZEROS)
+    assert "psnr_noisy_db,inf\npsnr_denoised_db,inf\n" in report.to_csv()
